@@ -1,14 +1,15 @@
-//! The router daemon: the [`Router`] behind the same wire protocol the
+//! The router daemon: the [`Router`] as a [`Handler`] on the
+//! [`pexeso_serve::frame_server`], behind the same wire protocol the
 //! shard daemons speak.
 //!
 //! A client cannot tell a router from a single `pexeso serve` daemon —
 //! same frames, same verbs, same reply shapes — which is the point: the
 //! existing [`pexeso_serve::ServeClient`] / `pexeso query` tooling works
 //! against either, and promoting a deployment from one node to N shards
-//! changes an address, not a client. The threading model mirrors
-//! `pexeso-serve`'s server: one acceptor feeding a bounded connection
-//! queue, a fixed worker pool, explicit one-frame `BUSY` backpressure
-//! when the queue is full.
+//! changes an address, not a client. The frame server under both is one
+//! and the same: one acceptor feeding a bounded connection queue, a
+//! fixed worker pool, explicit one-frame `BUSY` backpressure when the
+//! queue is full, deadline expiry in the queue, and the shutdown drain.
 //!
 //! Differences from a shard daemon, all deliberate:
 //!
@@ -17,6 +18,9 @@
 //!   duplicate those bytes and add a second invalidation domain that
 //!   must observe N independent generation bumps. Routed cache hits
 //!   still happen — inside the shards, where the generations live.
+//! * **No soft-watermark shedding.** The router sheds load at its own
+//!   door with `BUSY` instead of amplifying a spike N-fold onto the
+//!   shards, which run their own soft-watermark shedding.
 //! * **`RELOAD` re-reads the shard map**, not an index directory: the
 //!   router serves topology, and a map edit (add a replica, move a
 //!   boundary after a re-split) hot-swaps the routing table without
@@ -26,24 +30,20 @@
 //!   replicas, and "apply... something, somewhere" is an error, not a
 //!   guess.
 
-use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use pexeso_core::error::Result;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::{Query, QueryBudget, QueryMode};
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::metrics::{write_histogram_series, EndpointMetrics, SlowQueryLog};
-use pexeso_serve::protocol::{
-    decode_request, encode_reply, read_frame, write_frame, BatchMode, HitsExt, HitsReply,
-    InfoReply, QueryBatch, QueryPayload, Reply, Request,
-};
-use pexeso_serve::server::clamp_policy;
-use pexeso_serve::ResilientConfig;
+use pexeso_serve::frame_server::{FrameConfig, FrameServer, Handler, RequestCtx};
+use pexeso_serve::metrics::{write_histogram_series, EndpointMetrics, FrameMetrics, SlowQueryLog};
+use pexeso_serve::protocol::{HitsReply, InfoReply, Reply, Request};
+use pexeso_serve::server::{answer_queries, error_reply, verb_name};
+use pexeso_serve::{query_from_wire, ResilientConfig};
 
 use crate::router::{Router, RouterConfig};
 use crate::shardmap::ShardMap;
@@ -92,7 +92,8 @@ struct RouterMetrics {
     /// INFO/STATS/METRICS/SLOW/RELOAD.
     admin: EndpointMetrics,
     apply: EndpointMetrics,
-    busy_rejections: AtomicU64,
+    /// The frame server's rejection counters and queue-wait histogram.
+    frame: FrameMetrics,
 }
 
 impl RouterMetrics {
@@ -104,29 +105,6 @@ impl RouterMetrics {
             ("apply", &self.apply),
         ]
     }
-}
-
-struct QueuedConn {
-    stream: TcpStream,
-    accepted_at: Instant,
-}
-
-struct Shared {
-    /// Hot-swapped on RELOAD; queries pin an `Arc` for their lifetime.
-    router: RwLock<Arc<Router>>,
-    map_path: PathBuf,
-    config: RouterServeConfig,
-    metrics: RouterMetrics,
-    slow_log: SlowQueryLog,
-    started: Instant,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
-    /// Worker-owned connections, closed directly on shutdown so idle
-    /// keep-alive peers don't hold workers for a full `read_timeout`.
-    live_conns: Mutex<HashMap<u64, TcpStream>>,
-    conn_seq: AtomicU64,
 }
 
 /// The router daemon entry point.
@@ -148,587 +126,255 @@ impl RouterServer {
                 client: config.client.clone(),
             },
         )?;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
+        let frame = FrameConfig {
+            component: "router",
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            queue_soft_watermark: None,
+            read_timeout: config.read_timeout,
+            reject_write_timeout: config.reject_write_timeout,
+        };
+        let handler = RouterHandler {
             router: RwLock::new(Arc::new(router)),
             map_path: map_path.to_path_buf(),
             metrics: RouterMetrics::default(),
             slow_log: SlowQueryLog::new(config.slow_log_capacity),
             started: Instant::now(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            addr: local_addr,
-            live_conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
             config,
-        });
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared)));
-        }
-        for _ in 0..workers {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(RouterServerHandle {
-            addr: local_addr,
-            threads,
-            shared,
-        })
+        };
+        Ok(FrameServer::start(addr, frame, handler)?)
     }
 }
 
 /// A running router daemon.
-pub struct RouterServerHandle {
-    addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    shared: Arc<Shared>,
+pub type RouterServerHandle = FrameServer<RouterHandler>;
+
+/// The router daemon's answers: the routing table, hot-swapped on
+/// `RELOAD`, and the router-tier metrics.
+pub struct RouterHandler {
+    /// Hot-swapped on RELOAD; queries pin an `Arc` for their lifetime.
+    router: RwLock<Arc<Router>>,
+    map_path: PathBuf,
+    config: RouterServeConfig,
+    metrics: RouterMetrics,
+    slow_log: SlowQueryLog,
+    started: Instant,
 }
 
-impl RouterServerHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The currently-routing [`Router`] (tests reach through this for
-    /// generations and drain control).
+impl RouterHandler {
+    /// The currently-routing [`Router`]; one request pins it for its
+    /// whole lifetime.
     pub fn router(&self) -> Arc<Router> {
-        self.shared
-            .router
-            .read()
-            .expect("router lock poisoned")
-            .clone()
+        self.router.read().expect("router lock poisoned").clone()
     }
 
-    /// Initiate shutdown (idempotent) and join every thread.
-    pub fn shutdown(mut self) {
-        initiate_shutdown(&self.shared);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Block until a protocol `SHUTDOWN` stops the daemon.
-    pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue_cv.notify_all();
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
-    for conn in shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .values()
-    {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// RAII registration in the shutdown registry (mirrors the shard
-/// daemon): deregisters on every exit path out of `handle_connection`.
-struct ConnRegistration<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl Drop for ConnRegistration<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut conns) = self.shared.live_conns.lock() {
-            conns.remove(&self.id);
-        }
-    }
-}
-
-fn register_conn<'a>(shared: &'a Shared, stream: &TcpStream) -> Option<ConnRegistration<'a>> {
-    let clone = stream.try_clone().ok()?;
-    let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .insert(id, clone);
-    Some(ConnRegistration { shared, id })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = conn else { continue };
-        let accepted_at = Instant::now();
-        let mut queue = shared.queue.lock().expect("connection queue poisoned");
-        if queue.len() >= shared.config.queue_capacity {
-            drop(queue);
-            // One BUSY frame, then hang up — the router sheds load at its
-            // own door instead of amplifying a spike N-fold onto the
-            // shards (which run their own soft-watermark shedding).
-            shared
-                .metrics
-                .busy_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            plog::log(
-                LogLevel::Warn,
-                "router",
-                "busy_rejected",
-                &[(
-                    "queue_capacity",
-                    Value::U64(shared.config.queue_capacity as u64),
-                )],
+    /// Scatter one solo query request over the pinned routing table. The
+    /// router does not know the deployment dimension (the shards do), so
+    /// dimension mismatches surface as typed per-shard errors rather than
+    /// a local precheck.
+    fn run_query(
+        &self,
+        router: &Router,
+        req: &Request,
+        queue_wait: Option<Duration>,
+    ) -> std::result::Result<HitsReply, String> {
+        let (payload, mode) = req.query().expect("run_query only sees query verbs");
+        let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())
+            .map_err(|e| e.to_string())?;
+        let query = query_from_wire(payload, mode, self.config.max_request_threads, queue_wait);
+        let (resp, meta) = router
+            .execute_routed(&query, &store)
+            .map_err(|e| e.to_string())?;
+        if payload.trace.enabled() {
+            let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
+            self.slow_log.offer_correlated(
+                verb_name(mode),
+                resp.stats.total_time,
+                rendered,
+                meta.request_id,
+                meta.slowest_shard,
             );
-            let _ = stream.set_write_timeout(Some(shared.config.reject_write_timeout));
-            let _ = write_frame(&mut stream, &encode_reply(&Reply::Busy));
-        } else {
-            queue.push_back(QueuedConn {
-                stream,
-                accepted_at,
-            });
-            drop(queue);
-            shared.queue_cv.notify_one();
         }
-    }
-    shared.queue_cv.notify_all();
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().expect("connection queue poisoned");
-            loop {
-                if let Some(c) = queue.pop_front() {
-                    break Some(c);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .expect("connection queue poisoned");
-            }
-        };
-        match conn {
-            Some(conn) => handle_connection(shared, conn),
-            None => break,
-        }
+        Ok(HitsReply::executed(
+            router.generation(),
+            resp,
+            payload.ext.is_some(),
+            payload.trace.enabled(),
+        ))
     }
 }
 
-fn handle_connection(shared: &Shared, conn: QueuedConn) {
-    let QueuedConn {
-        mut stream,
-        accepted_at,
-    } = conn;
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let _ = stream.set_nodelay(true);
-    let _registration = register_conn(shared, &stream);
-    // Only the first request on a connection waited in the accept queue.
-    let mut queue_wait = Some(accepted_at.elapsed());
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
-        };
-        match decode_request(&payload) {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let reply = dispatch(shared, req, queue_wait.take());
-                if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    initiate_shutdown(shared);
-                    return;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) => {
-                let reply = Reply::Err {
-                    message: format!("bad request: {e}"),
+impl Handler for RouterHandler {
+    fn frame_metrics(&self) -> &FrameMetrics {
+        &self.metrics.frame
+    }
+
+    fn handle(&self, req: Request, ctx: &RequestCtx<'_>) -> Reply {
+        let started = Instant::now();
+        let metrics = &self.metrics;
+        let (endpoint, reply) = match req {
+            Request::Info => {
+                let reply = match self.router().info() {
+                    Ok(info) => Reply::Info(InfoReply {
+                        dim: info.dim,
+                        generation: info.generation,
+                        index_version: info.index_version,
+                        partitions: info.partitions,
+                        disk_bytes: info.disk_bytes,
+                    }),
+                    Err(e) => error_reply(&metrics.admin, e.to_string()),
                 };
-                let _ = write_frame(&mut stream, &encode_reply(&reply));
-                return;
+                (&metrics.admin, reply)
             }
-        }
-    }
-}
-
-/// Pin the routing table for one request.
-fn current_router(shared: &Shared) -> Arc<Router> {
-    shared.router.read().expect("router lock poisoned").clone()
-}
-
-fn dispatch(shared: &Shared, req: Request, queue_wait: Option<Duration>) -> Reply {
-    let started = Instant::now();
-    match req {
-        Request::Info => {
-            let reply = match current_router(shared).info() {
-                Ok(info) => Reply::Info(InfoReply {
-                    dim: info.dim,
-                    generation: info.generation,
-                    index_version: info.index_version,
-                    partitions: info.partitions,
-                    disk_bytes: info.disk_bytes,
-                }),
-                Err(e) => error_reply(&shared.metrics.admin, e.to_string()),
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::Stats => {
-            let text = render_stats(shared, &current_router(shared));
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Metrics => {
-            let text = render_prometheus(shared, &current_router(shared));
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::SlowLog => {
-            let text = shared.slow_log.render();
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Reload { dir } => {
-            // Re-read the shard map (an explicit payload names an
-            // alternative map file) and hot-swap the routing table.
-            let path = dir
-                .map(PathBuf::from)
-                .unwrap_or_else(|| shared.map_path.clone());
-            let reply = match ShardMap::read(&path).and_then(|map| {
-                Router::new(
-                    map,
-                    RouterConfig {
-                        client: shared.config.client.clone(),
+            Request::Stats => {
+                let text = render_stats(self, &self.router());
+                (&metrics.admin, Reply::Stats { text })
+            }
+            Request::Metrics => {
+                let text = render_prometheus(self, &self.router());
+                (&metrics.admin, Reply::Stats { text })
+            }
+            Request::SlowLog => {
+                let text = self.slow_log.render();
+                (&metrics.admin, Reply::Stats { text })
+            }
+            Request::Reload { dir } => {
+                // Re-read the shard map (an explicit payload names an
+                // alternative map file) and hot-swap the routing table.
+                let path = dir
+                    .map(PathBuf::from)
+                    .unwrap_or_else(|| self.map_path.clone());
+                let reply = match ShardMap::read(&path).and_then(|map| {
+                    Router::new(
+                        map,
+                        RouterConfig {
+                            client: self.config.client.clone(),
+                        },
+                    )
+                }) {
+                    Ok(fresh) => {
+                        let shards = fresh.shard_count() as u32;
+                        let generation = fresh.generation();
+                        *self.router.write().expect("router lock poisoned") = Arc::new(fresh);
+                        plog::log(
+                            LogLevel::Info,
+                            "router",
+                            "map_reloaded",
+                            &[
+                                ("generation", Value::U64(generation)),
+                                ("shards", Value::U64(shards as u64)),
+                            ],
+                        );
+                        // `partitions` reports shard count at this tier:
+                        // the router's units of spread are shards, not
+                        // partition files it cannot see.
+                        Reply::Reloaded {
+                            generation,
+                            partitions: shards,
+                        }
+                    }
+                    // A failed reload keeps routing on the old table.
+                    Err(e) => {
+                        let message = e.to_string();
+                        plog::log(
+                            LogLevel::Error,
+                            "router",
+                            "map_reload_failed",
+                            &[("error", Value::Str(&message))],
+                        );
+                        error_reply(&metrics.admin, message)
+                    }
+                };
+                (&metrics.admin, reply)
+            }
+            Request::ApplyDelta { shard } => {
+                let reply = match shard {
+                    Some(s) => match self.router().apply_delta(s as usize) {
+                        Ok((generation, delta_columns, tombstones)) => Reply::Applied {
+                            generation,
+                            delta_columns,
+                            tombstones,
+                        },
+                        Err(e) => error_reply(&metrics.apply, e.to_string()),
                     },
-                )
-            }) {
-                Ok(fresh) => {
-                    let shards = fresh.shard_count() as u32;
-                    let generation = fresh.generation();
-                    *shared.router.write().expect("router lock poisoned") = Arc::new(fresh);
+                    // A bare V3 APPLY is addressed at "the deployment"; a
+                    // router has N of them and refuses to pick one
+                    // silently.
+                    None => error_reply(
+                        &metrics.apply,
+                        "router APPLY requires the V5 shard tail (use --shard N)".into(),
+                    ),
+                };
+                (&metrics.apply, reply)
+            }
+            Request::Inspect => {
+                let text = self.router().inspect_text();
+                (&metrics.admin, Reply::Stats { text })
+            }
+            Request::Health => {
+                let text = self.router().health_text(ctx.draining());
+                (&metrics.admin, Reply::Stats { text })
+            }
+            Request::Drain { addr, drained } => {
+                let matched = self.router().set_drained(&addr, drained);
+                let reply = if matched == 0 {
+                    error_reply(
+                        &metrics.admin,
+                        format!("no replica with address {addr} in the shard map"),
+                    )
+                } else {
                     plog::log(
                         LogLevel::Info,
                         "router",
-                        "map_reloaded",
+                        "replica_drained",
                         &[
-                            ("generation", Value::U64(generation)),
-                            ("shards", Value::U64(shards as u64)),
+                            ("addr", Value::Str(&addr)),
+                            ("drained", Value::Bool(drained)),
+                            ("replicas", Value::U64(matched as u64)),
                         ],
                     );
-                    // `partitions` reports shard count at this tier: the
-                    // router's units of spread are shards, not partition
-                    // files it cannot see.
-                    Reply::Reloaded {
-                        generation,
-                        partitions: shards,
+                    Reply::Stats {
+                        text: format!(
+                            "drained={} addr={addr} replicas={matched}\n",
+                            if drained { 1 } else { 0 }
+                        ),
                     }
-                }
-                // A failed reload keeps routing on the old table.
-                Err(e) => {
-                    let message = e.to_string();
-                    plog::log(
-                        LogLevel::Error,
-                        "router",
-                        "map_reload_failed",
-                        &[("error", Value::Str(&message))],
-                    );
-                    error_reply(&shared.metrics.admin, message)
-                }
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::ApplyDelta { shard } => {
-            let reply = match shard {
-                Some(s) => match current_router(shared).apply_delta(s as usize) {
-                    Ok((generation, delta_columns, tombstones)) => Reply::Applied {
-                        generation,
-                        delta_columns,
-                        tombstones,
-                    },
-                    Err(e) => error_reply(&shared.metrics.apply, e.to_string()),
-                },
-                // A bare V3 APPLY is addressed at "the deployment"; a
-                // router has N of them and refuses to pick one silently.
-                None => error_reply(
-                    &shared.metrics.apply,
-                    "router APPLY requires the V5 shard tail (use --shard N)".into(),
-                ),
-            };
-            shared.metrics.apply.record(started.elapsed());
-            reply
-        }
-        Request::Inspect => {
-            let text = current_router(shared).inspect_text();
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Health => {
-            let draining = shared.shutting_down.load(Ordering::SeqCst);
-            let text = current_router(shared).health_text(draining);
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Drain { addr, drained } => {
-            let matched = current_router(shared).set_drained(&addr, drained);
-            let reply = if matched == 0 {
-                error_reply(
-                    &shared.metrics.admin,
-                    format!("no replica with address {addr} in the shard map"),
-                )
-            } else {
-                plog::log(
-                    LogLevel::Info,
-                    "router",
-                    "replica_drained",
-                    &[
-                        ("addr", Value::Str(&addr)),
-                        ("drained", Value::Bool(drained)),
-                        ("replicas", Value::U64(matched as u64)),
-                    ],
-                );
-                Reply::Stats {
-                    text: format!(
-                        "drained={} addr={addr} replicas={matched}\n",
-                        if drained { 1 } else { 0 }
-                    ),
-                }
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::Shutdown => {
-            plog::log(LogLevel::Info, "router", "shutdown_requested", &[]);
-            Reply::ShuttingDown
-        }
-        Request::Search { .. } | Request::Topk { .. } => {
-            handle_query(shared, req, started, queue_wait)
-        }
-        Request::Batch(batch) => handle_batch(shared, batch, started, queue_wait),
-    }
-}
-
-fn error_reply(endpoint: &EndpointMetrics, message: String) -> Reply {
-    endpoint.record_error();
-    Reply::Err { message }
-}
-
-/// The deadline a query request carried, if any.
-fn payload_deadline(payload: &QueryPayload) -> Option<Duration> {
-    payload
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis)
-}
-
-fn handle_query(
-    shared: &Shared,
-    req: Request,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let (payload, mode) = match &req {
-        Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
-        Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
-        _ => unreachable!("handle_query only sees query verbs"),
-    };
-    let endpoint = match mode {
-        QueryMode::Threshold(_) => &shared.metrics.search,
-        QueryMode::Topk(_) => &shared.metrics.topk,
-    };
-    // Queue wait counts against the deadline, exactly as on a shard
-    // daemon: an answer computed after its deadline is overload evidence,
-    // not a result.
-    if let (Some(wait), Some(deadline)) = (queue_wait, payload_deadline(payload)) {
-        if wait >= deadline {
-            log_deadline_expired(payload.request_id, wait);
-            endpoint.record(started.elapsed());
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
-        }
-    }
-    let reply = match run_query(shared, payload, mode, queue_wait) {
-        Ok(hits) => Reply::Hits(hits),
-        Err(message) => error_reply(endpoint, message),
-    };
-    endpoint.record(started.elapsed());
-    reply
-}
-
-/// Reassemble the unified query and scatter it. The router does not know
-/// the deployment dimension (the shards do), so dimension mismatches
-/// surface as typed per-shard errors rather than a local precheck.
-fn run_query(
-    shared: &Shared,
-    payload: &QueryPayload,
-    mode: QueryMode,
-    queue_wait: Option<Duration>,
-) -> std::result::Result<HitsReply, String> {
-    let router = current_router(shared);
-    let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())
-        .map_err(|e| e.to_string())?;
-    let mut query = match mode {
-        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
-        QueryMode::Topk(k) => Query::topk(payload.tau, k),
-    }
-    .with_policy(clamp_policy(
-        payload.policy,
-        shared.config.max_request_threads,
-    ));
-    if !payload.metric.is_empty() {
-        query = query.expect_metric(&payload.metric);
-    }
-    query = query
-        .with_trace(payload.trace)
-        .with_explain(payload.explain);
-    if let Some(rid) = payload.request_id {
-        query = query.with_request_id(rid);
-    }
-    if let Some(ext) = &payload.ext {
-        query.options.flags = ext.flags;
-        query.options.quick_browse = ext.quick_browse;
-        query.budget = QueryBudget {
-            max_distance_computations: ext.max_distance_computations,
-            deadline: ext.deadline_ms.map(|ms| {
-                let full = Duration::from_millis(ms);
-                queue_wait.map_or(full, |w| full.saturating_sub(w))
-            }),
-        };
-    }
-    let (resp, meta) = router
-        .execute_routed(&query, &store)
-        .map_err(|e| e.to_string())?;
-    if payload.trace.enabled() {
-        let verb = match mode {
-            QueryMode::Threshold(_) => "search",
-            QueryMode::Topk(_) => "topk",
-        };
-        let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
-        shared.slow_log.offer_correlated(
-            verb,
-            resp.stats.total_time,
-            rendered,
-            meta.request_id,
-            meta.slowest_shard,
-        );
-    }
-    let v2 = payload.ext.is_some();
-    Ok(HitsReply {
-        generation: router.generation(),
-        cached: false,
-        hits: resp.hits.iter().map(Into::into).collect(),
-        ext: v2.then_some(HitsExt {
-            outcome: resp.outcome,
-            distance_computations: resp.stats.distance_computations,
-        }),
-        trace: payload.trace.enabled().then_some(resp.trace).flatten(),
-        explain: resp.explain.map(Box::new),
-    })
-}
-
-/// Warn (with the correlation id, when the frame carried one) that a
-/// request's deadline expired while it sat in the accept queue.
-fn log_deadline_expired(request_id: Option<u64>, wait: Duration) {
-    if !plog::enabled(LogLevel::Warn) {
-        return;
-    }
-    let mut fields: Vec<(&str, Value)> = Vec::with_capacity(2);
-    if let Some(rid) = request_id {
-        fields.push(("rid", Value::Rid(rid)));
-    }
-    fields.push(("waited_ms", Value::U64(wait.as_millis() as u64)));
-    plog::log(
-        LogLevel::Warn,
-        "router",
-        "deadline_expired_in_queue",
-        &fields,
-    );
-}
-
-/// Answer a V4 batch frame: one pinned routing table, per-column answers
-/// identical to the equivalent solo frames.
-fn handle_batch(
-    shared: &Shared,
-    batch: QueryBatch,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let (endpoint, mode) = match batch.mode {
-        BatchMode::Search(t) => (&shared.metrics.search, QueryMode::Threshold(t)),
-        BatchMode::Topk(k) => (&shared.metrics.topk, QueryMode::Topk(k as usize)),
-    };
-    let deadline = batch
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis);
-    if let (Some(wait), Some(deadline)) = (queue_wait, deadline) {
-        if wait >= deadline {
-            log_deadline_expired(batch.request_id, wait);
-            endpoint.record(started.elapsed());
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
-        }
-    }
-    let mut replies = Vec::with_capacity(batch.columns.len());
-    for vectors in &batch.columns {
-        let solo = QueryPayload {
-            metric: batch.metric.clone(),
-            tau: batch.tau,
-            policy: batch.policy,
-            dim: batch.dim,
-            vectors: vectors.clone(),
-            ext: batch.ext,
-            trace: batch.trace,
-            request_id: batch.request_id,
-            explain: false,
-        };
-        match run_query(shared, &solo, mode, queue_wait) {
-            Ok(hits) => replies.push(hits),
-            Err(message) => {
-                endpoint.record(started.elapsed());
-                return error_reply(endpoint, message);
+                };
+                (&metrics.admin, reply)
             }
-        }
+            Request::Shutdown => {
+                plog::log(LogLevel::Info, "router", "shutdown_requested", &[]);
+                return Reply::ShuttingDown;
+            }
+            Request::Search { .. } | Request::Topk { .. } | Request::Batch(_) => {
+                // Pin the routing table once: every column of a batch
+                // routes over the same table.
+                let router = self.router();
+                answer_queries(req, &metrics.search, &metrics.topk, |solo| {
+                    self.run_query(&router, solo, ctx.queue_wait)
+                })
+            }
+        };
+        endpoint.record(started.elapsed());
+        reply
     }
-    endpoint.record(started.elapsed());
-    Reply::HitsBatch(replies)
 }
 
 /// The `STATS` text plane: router-level counters plus per-shard and
 /// per-replica gauges (`shard<N>.…` keys, parseable with
 /// [`pexeso_serve::stat_value`]).
-fn render_stats(shared: &Shared, router: &Router) -> String {
+fn render_stats(handler: &RouterHandler, router: &Router) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(2048);
-    let _ = writeln!(out, "uptime_seconds={}", shared.started.elapsed().as_secs());
-    let _ = writeln!(out, "shards={}", router.shard_count());
-    let _ = writeln!(out, "generation={}", router.generation());
     let _ = writeln!(
         out,
-        "busy_rejections={}",
-        shared.metrics.busy_rejections.load(Ordering::Relaxed)
+        "uptime_seconds={}",
+        handler.started.elapsed().as_secs()
     );
-    for (name, ep) in shared.metrics.endpoints() {
+    let _ = writeln!(out, "shards={}", router.shard_count());
+    let _ = writeln!(out, "generation={}", router.generation());
+    handler.metrics.frame.render_text(&mut out);
+    for (name, ep) in handler.metrics.endpoints() {
         let (p50, p99) = ep.latency_quantiles_us();
         let _ = writeln!(
             out,
@@ -769,7 +415,7 @@ fn render_stats(shared: &Shared, router: &Router) -> String {
 
 /// The `METRICS` Prometheus plane. Validated against
 /// [`pexeso_serve::validate_prometheus`] by the integration tests.
-fn render_prometheus(shared: &Shared, router: &Router) -> String {
+fn render_prometheus(handler: &RouterHandler, router: &Router) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(4096);
     let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
@@ -781,7 +427,7 @@ fn render_prometheus(shared: &Shared, router: &Router) -> String {
         &mut out,
         "pexeso_router_uptime_seconds",
         "Seconds since the router started.",
-        shared.started.elapsed().as_secs_f64(),
+        handler.started.elapsed().as_secs_f64(),
     );
     gauge(
         &mut out,
@@ -853,7 +499,7 @@ fn render_prometheus(shared: &Shared, router: &Router) -> String {
         "# HELP pexeso_router_requests_total Requests served, per endpoint."
     );
     let _ = writeln!(out, "# TYPE pexeso_router_requests_total counter");
-    for (name, ep) in shared.metrics.endpoints() {
+    for (name, ep) in handler.metrics.endpoints() {
         let _ = writeln!(
             out,
             "pexeso_router_requests_total{{endpoint=\"{name}\"}} {}",
@@ -865,23 +511,17 @@ fn render_prometheus(shared: &Shared, router: &Router) -> String {
         "# HELP pexeso_router_errors_total Request errors, per endpoint."
     );
     let _ = writeln!(out, "# TYPE pexeso_router_errors_total counter");
-    for (name, ep) in shared.metrics.endpoints() {
+    for (name, ep) in handler.metrics.endpoints() {
         let _ = writeln!(
             out,
             "pexeso_router_errors_total{{endpoint=\"{name}\"}} {}",
             ep.errors.load(Ordering::Relaxed)
         );
     }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_rejected_total Connections rejected with BUSY."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_rejected_total counter");
-    let _ = writeln!(
-        out,
-        "pexeso_router_rejected_total {}",
-        shared.metrics.busy_rejections.load(Ordering::Relaxed)
-    );
+    handler
+        .metrics
+        .frame
+        .render_prometheus(&mut out, "pexeso_router");
     let _ = writeln!(
         out,
         "# HELP pexeso_router_query_latency_microseconds End-to-end routed query latency (scatter + merge)."

@@ -15,11 +15,11 @@ use pexeso_core::error::PexesoError;
 use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan};
 use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
-use pexeso_core::query::{Query, QueryOutcome, Queryable};
+use pexeso_core::query::{Exceeded, Query, QueryOutcome, Queryable};
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 use pexeso_delta::{ingest_columns, IngestColumn};
-use pexeso_router::daemon::{RouterServeConfig, RouterServer};
+use pexeso_router::daemon::{RouterServeConfig, RouterServer, RouterServerHandle};
 use pexeso_router::router::{Router, RouterConfig};
 use pexeso_router::shardmap::{ShardMap, ShardSpec};
 use pexeso_router::split::{plan_shards, shard_dir_name, split_lake, SHARD_MAP_FILE};
@@ -176,6 +176,37 @@ fn start_cluster(src: &Path, shards: usize, name: &str) -> (Vec<ServerHandle>, R
     )
     .unwrap();
     (daemons, router)
+}
+
+/// Split `src` into two shard daemons, write their shard map, and start
+/// a router daemon over it.
+fn start_router_daemon(
+    src: &Path,
+    name: &str,
+    config: RouterServeConfig,
+) -> (Vec<ServerHandle>, RouterServerHandle) {
+    let out = tempdir(&format!("{name}_shards"));
+    let map = split_lake(src, 2, &out).unwrap();
+    let mut daemons = Vec::new();
+    let mut specs = Vec::new();
+    for (i, spec) in map.shards().iter().enumerate() {
+        let h = Server::start(
+            &out.join(shard_dir_name(i)),
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .unwrap();
+        specs.push(ShardSpec {
+            lo: spec.lo,
+            hi: spec.hi,
+            replicas: vec![h.addr().to_string()],
+        });
+        daemons.push(h);
+    }
+    let map_path = out.join(SHARD_MAP_FILE);
+    ShardMap::new(specs).unwrap().write(&map_path).unwrap();
+    let handle = RouterServer::start(&map_path, "127.0.0.1:0", config).unwrap();
+    (daemons, handle)
 }
 
 fn wire(hits: &[GlobalHit]) -> Vec<WireHit> {
@@ -509,35 +540,14 @@ fn router_daemon_speaks_the_serve_protocol() {
     let dir = tempdir("daemon_src");
     let (columns, query) = workload(103, 10, "d");
     let lake = deploy(&dir, &columns, "euclidean");
-    let out = tempdir("daemon_shards");
-    let map = split_lake(&dir, 2, &out).unwrap();
-    let mut daemons = Vec::new();
-    let mut specs = Vec::new();
-    for (i, spec) in map.shards().iter().enumerate() {
-        let h = Server::start(
-            &out.join(shard_dir_name(i)),
-            "127.0.0.1:0",
-            ServeConfig::default(),
-        )
-        .unwrap();
-        specs.push(ShardSpec {
-            lo: spec.lo,
-            hi: spec.hi,
-            replicas: vec![h.addr().to_string()],
-        });
-        daemons.push(h);
-    }
-    let map_path = out.join(SHARD_MAP_FILE);
-    ShardMap::new(specs).unwrap().write(&map_path).unwrap();
-    let handle = RouterServer::start(
-        &map_path,
-        "127.0.0.1:0",
+    let (daemons, handle) = start_router_daemon(
+        &dir,
+        "daemon",
         RouterServeConfig {
             client: fast_client(),
             ..RouterServeConfig::default()
         },
-    )
-    .unwrap();
+    );
     let client = ServeClient::connect(handle.addr()).unwrap();
 
     // INFO aggregates the shard deployments.
@@ -741,36 +751,15 @@ fn router_daemon_observability_verbs_end_to_end() {
     let dir = tempdir("obsd_src");
     let (columns, query) = workload(139, 10, "o");
     deploy(&dir, &columns, "euclidean");
-    let out = tempdir("obsd_shards");
-    let map = split_lake(&dir, 2, &out).unwrap();
-    let mut daemons = Vec::new();
-    let mut specs = Vec::new();
-    for (i, spec) in map.shards().iter().enumerate() {
-        let h = Server::start(
-            &out.join(shard_dir_name(i)),
-            "127.0.0.1:0",
-            ServeConfig::default(),
-        )
-        .unwrap();
-        specs.push(ShardSpec {
-            lo: spec.lo,
-            hi: spec.hi,
-            replicas: vec![h.addr().to_string()],
-        });
-        daemons.push(h);
-    }
-    let shard0_addr = specs[0].replicas[0].clone();
-    let map_path = out.join(SHARD_MAP_FILE);
-    ShardMap::new(specs).unwrap().write(&map_path).unwrap();
-    let handle = RouterServer::start(
-        &map_path,
-        "127.0.0.1:0",
+    let (daemons, handle) = start_router_daemon(
+        &dir,
+        "obsd",
         RouterServeConfig {
             client: fast_client(),
             ..RouterServeConfig::default()
         },
-    )
-    .unwrap();
+    );
+    let shard0_addr = daemons[0].addr().to_string();
     let client = ServeClient::connect(handle.addr()).unwrap();
 
     // HEALTH: a fully-replicated fleet is ready; draining one replica of
@@ -807,6 +796,69 @@ fn router_daemon_observability_verbs_end_to_end() {
 
     client.shutdown().unwrap();
     handle.join();
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// Queue wait counts against a routed request's deadline exactly as on a
+/// shard daemon: a request whose deadline ran out while the router's
+/// single worker was busy gets a typed refusal, and the router counts it.
+#[test]
+fn router_queue_wait_expires_deadlines() {
+    let dir = tempdir("expire_src");
+    let (columns, query) = workload(151, 8, "x");
+    let lake = deploy(&dir, &columns, "euclidean");
+    let (daemons, handle) = start_router_daemon(
+        &dir,
+        "expire",
+        RouterServeConfig {
+            workers: 1,
+            client: fast_client(),
+            ..RouterServeConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    // A occupies the single worker (connected, sends nothing).
+    let conn_a = ServeClient::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    // B queues and waits there.
+    let conn_b = ServeClient::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    // Releasing A hands the worker to B, whose queue wait is now ~150ms:
+    // a 1ms-deadline query must expire typed, with no routing done.
+    drop(conn_a);
+    std::thread::sleep(Duration::from_millis(100));
+    let mut expired_q = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1));
+    expired_q.budget.deadline = Some(Duration::from_millis(1));
+    let (resp, _meta) = conn_b.execute_detailed(&expired_q, &query).unwrap();
+    assert_eq!(resp.outcome, QueryOutcome::Exceeded(Exceeded::Deadline));
+    assert!(resp.hits.is_empty());
+    // The same connection keeps working, and an undeadlined repeat is a
+    // real answer: expiry is per-request, not per-connection.
+    let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5));
+    let (ok, _) = conn_b.execute_detailed(&q, &query).unwrap();
+    assert!(!ok.hits.is_empty());
+    assert_eq!(
+        wire(&lake.execute(&q, &query).unwrap().hits),
+        wire(&ok.hits)
+    );
+
+    let stats = conn_b.stats_text().unwrap();
+    assert_eq!(stat_value(&stats, "expired"), Some(1.0), "{stats}");
+    assert!(stat_value(&stats, "queue_wait.p50_us").is_some(), "{stats}");
+    assert!(stat_value(&stats, "queue_wait.p99_us").is_some(), "{stats}");
+    let metrics = conn_b.metrics_text().unwrap();
+    validate_prometheus(&metrics).expect("router metrics must be valid Prometheus text");
+    assert!(
+        metrics.contains("pexeso_router_rejected_total{reason=\"expired\"} 1"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("pexeso_router_queue_wait_microseconds_count"));
+
+    drop(conn_b);
+    handle.shutdown();
     for d in daemons {
         d.shutdown();
     }

@@ -19,7 +19,9 @@ use std::time::Duration;
 use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
 use pexeso_core::error::PexesoError;
 use pexeso_core::outofcore::GlobalHit;
-use pexeso_core::query::{Exceeded, Query, QueryMode, QueryOutcome, QueryResponse, Queryable};
+use pexeso_core::query::{
+    Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
+};
 use pexeso_core::stats::SearchStats;
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
@@ -28,6 +30,7 @@ use crate::protocol::{
     decode_reply, encode_request, read_frame, write_frame, BatchMode, HitsReply, InfoReply,
     QueryBatch, QueryExt, QueryPayload, Reply, Request, WireError,
 };
+use crate::server::clamp_policy;
 
 /// Client-side failure modes.
 #[derive(Debug)]
@@ -127,7 +130,7 @@ pub fn query_payload(
 /// mode, τ, T/k, policy, metric expectation, lemma toggles, quick-browse,
 /// and budget — travels in the frame (the options/budget in the V2
 /// extension). This is the client half of the serve mapping; the server
-/// reassembles the same `Query` on the other side. Public so the
+/// reassembles the same `Query` with [`query_from_wire`]. Public so the
 /// round-trip can be property-tested against the frame codec.
 pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
     let payload = QueryPayload {
@@ -151,6 +154,47 @@ pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
             k: k as u64,
         },
     }
+}
+
+/// The unified [`Query`] a query frame describes: the inverse of
+/// [`wire_request`], up to the server's policy clamp. `max_threads` is the
+/// server's per-request thread ceiling (see [`clamp_policy`]), and
+/// `queue_wait`, the time the request already spent in the accept queue,
+/// comes off its deadline. Shard daemons and routers both rebuild queries
+/// here.
+pub fn query_from_wire(
+    payload: &QueryPayload,
+    mode: QueryMode,
+    max_threads: usize,
+    queue_wait: Option<Duration>,
+) -> Query {
+    let mut query = match mode {
+        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
+        QueryMode::Topk(k) => Query::topk(payload.tau, k),
+    }
+    .with_policy(clamp_policy(payload.policy, max_threads))
+    .with_trace(payload.trace)
+    .with_explain(payload.explain);
+    // An empty metric string spells "no expectation": serve with the
+    // build metric, exactly like every local backend does.
+    if !payload.metric.is_empty() {
+        query = query.expect_metric(&payload.metric);
+    }
+    query.request_id = payload.request_id;
+    if let Some(ext) = &payload.ext {
+        query.options.flags = ext.flags;
+        query.options.quick_browse = ext.quick_browse;
+        query.budget = QueryBudget {
+            max_distance_computations: ext.max_distance_computations,
+            // Queue wait already spent part of the deadline; execution
+            // gets only the remainder.
+            deadline: ext.deadline_ms.map(|ms| {
+                let full = Duration::from_millis(ms);
+                queue_wait.map_or(full, |w| full.saturating_sub(w))
+            }),
+        };
+    }
+    query
 }
 
 /// The V2 extension a unified [`Query`] travels with (shared by solo and

@@ -19,9 +19,13 @@
 //!   single partition;
 //! * [`cache`] — a sharded LRU result cache keyed on (query fingerprint,
 //!   τ, T/k, metric, snapshot generation), invalidated wholesale on swap;
-//! * [`server`] — a fixed worker pool over a bounded connection queue,
-//!   per-request [`pexeso_core::config::ExecPolicy`] selection (clamped by
-//!   the server), and a clean shutdown path;
+//! * [`frame_server`] — the daemon skeleton: a fixed worker pool over a
+//!   bounded connection queue with BUSY/SHED backpressure, deadline
+//!   expiry in the queue, and a clean shutdown path, around a handler
+//!   that answers one decoded request (the router tier runs on it too);
+//! * [`server`] — the shard daemon's handler: per-request
+//!   [`pexeso_core::config::ExecPolicy`] selection (clamped by the
+//!   server), the result cache, hot swap and delta apply;
 //! * [`metrics`] — lock-free per-endpoint counters and log-bucketed
 //!   latency histograms ([`pexeso_core::hist::AtomicHistogram`]),
 //!   rendered as `key=value` text on the `STATS` verb and as Prometheus
@@ -34,12 +38,14 @@
 //!   own attempt/backoff spans into one correlated timeline.
 //!
 //! Served results are exact: a reply is byte-identical to what a direct
-//! [`pexeso_core::outofcore::PartitionedLake::search`] call returns, for
-//! every execution policy (the crate-wide determinism contract is also
-//! why a sequential and a parallel request may share one cache entry).
+//! [`pexeso_core::query::Queryable::execute`] call on the deployment
+//! returns, for every execution policy (the crate-wide determinism
+//! contract is also why a sequential and a parallel request may share
+//! one cache entry).
 
 pub mod cache;
 pub mod client;
+pub mod frame_server;
 pub mod metrics;
 pub mod protocol;
 pub mod resilient;
@@ -47,7 +53,9 @@ pub mod server;
 pub mod snapshot;
 
 pub use cache::{CacheStats, LruCache, ShardedCache};
-pub use client::{query_payload, wire_request, ClientError, RemoteMeta, ServeClient};
+pub use client::{
+    query_from_wire, query_payload, wire_request, ClientError, RemoteMeta, ServeClient,
+};
 pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog, SnapshotFacts};
 pub use protocol::{
     HitsExt, HitsReply, InfoReply, QueryExt, QueryPayload, Reply, Request, WireHit,

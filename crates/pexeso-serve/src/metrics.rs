@@ -63,6 +63,69 @@ impl EndpointMetrics {
     }
 }
 
+/// What the daemon skeleton ([`crate::frame_server`]) turns away before
+/// a handler sees it, and how long accepted connections queued. Shard
+/// daemons and routers keep the same set and render it the same way.
+#[derive(Default)]
+pub struct FrameMetrics {
+    /// Time a request sat in the accept queue before a worker popped it.
+    pub queue_wait: AtomicHistogram,
+    /// Connections rejected with a BUSY reply (queue full).
+    pub busy_rejections: AtomicU64,
+    /// Connections rejected with a SHED reply (soft watermark crossed
+    /// before the hard BUSY limit — degradation beginning).
+    pub shed: AtomicU64,
+    /// Requests answered `DeadlineExpired`: their deadline budget
+    /// elapsed in the queue before a worker ever popped them.
+    pub expired: AtomicU64,
+}
+
+impl FrameMetrics {
+    /// The `STATS` lines: the rejection counters and queue-wait quantiles.
+    pub fn render_text(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(
+            out,
+            "busy_rejections={}",
+            self.busy_rejections.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(out, "shed={}", self.shed.load(Ordering::Relaxed));
+        let _ = writeln!(out, "expired={}", self.expired.load(Ordering::Relaxed));
+        let qw = self.queue_wait.snapshot();
+        let _ = writeln!(out, "queue_wait.p50_us={}", qw.quantile(0.50));
+        let _ = writeln!(out, "queue_wait.p99_us={}", qw.quantile(0.99));
+    }
+
+    /// The Prometheus families `{prefix}_rejected_total` (by reason) and
+    /// `{prefix}_queue_wait_microseconds`.
+    pub fn render_prometheus(&self, out: &mut String, prefix: &str) {
+        use std::fmt::Write as _;
+        let _ = writeln!(
+            out,
+            "# HELP {prefix}_rejected_total Requests rejected before execution, by reason."
+        );
+        let _ = writeln!(out, "# TYPE {prefix}_rejected_total counter");
+        for (reason, v) in [
+            ("busy", &self.busy_rejections),
+            ("shed", &self.shed),
+            ("expired", &self.expired),
+        ] {
+            let _ = writeln!(
+                out,
+                "{prefix}_rejected_total{{reason=\"{reason}\"}} {}",
+                v.load(Ordering::Relaxed)
+            );
+        }
+        let name = format!("{prefix}_queue_wait_microseconds");
+        let _ = writeln!(
+            out,
+            "# HELP {name} Time requests waited in the accept queue."
+        );
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        write_histogram_series(out, &name, "", &self.queue_wait.snapshot());
+    }
+}
+
 /// All server metrics, grouped per endpoint plus daemon-wide counters
 /// and histograms.
 pub struct ServerMetrics {
@@ -74,8 +137,8 @@ pub struct ServerMetrics {
     /// Delta APPLY latency (ingest → published snapshot) rides on this
     /// endpoint's histogram.
     pub apply: EndpointMetrics,
-    /// Time a request sat in the accept queue before a worker popped it.
-    pub queue_wait: AtomicHistogram,
+    /// The skeleton's rejection counters and queue-wait histogram.
+    pub frame: FrameMetrics,
     /// Result-cache lookup time, split by outcome — a hit that costs as
     /// much as a miss is a sharding problem.
     pub cache_hit_lookup: AtomicHistogram,
@@ -84,14 +147,6 @@ pub struct ServerMetrics {
     pub phase_map: AtomicHistogram,
     pub phase_block: AtomicHistogram,
     pub phase_verify: AtomicHistogram,
-    /// Connections rejected with a BUSY reply (queue full).
-    pub busy_rejections: AtomicU64,
-    /// Connections rejected with a SHED reply (soft watermark crossed
-    /// before the hard BUSY limit — degradation beginning).
-    pub shed: AtomicU64,
-    /// Requests answered `DeadlineExpired`: their deadline budget
-    /// elapsed in the queue before a worker ever popped them.
-    pub expired: AtomicU64,
     /// Completed hot swaps.
     pub swaps: AtomicU64,
     /// Completed delta applies (live-ingest publishes).
@@ -113,15 +168,12 @@ impl Default for ServerMetrics {
             stats: EndpointMetrics::default(),
             reload: EndpointMetrics::default(),
             apply: EndpointMetrics::default(),
-            queue_wait: AtomicHistogram::new(),
+            frame: FrameMetrics::default(),
             cache_hit_lookup: AtomicHistogram::new(),
             cache_miss_lookup: AtomicHistogram::new(),
             phase_map: AtomicHistogram::new(),
             phase_block: AtomicHistogram::new(),
             phase_verify: AtomicHistogram::new(),
-            busy_rejections: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             applies: AtomicU64::new(0),
             distance_computations: AtomicU64::new(0),
@@ -178,13 +230,7 @@ impl ServerMetrics {
         let _ = writeln!(out, "delta.records={}", snap.delta_records);
         let _ = writeln!(out, "applies={}", self.applies.load(Ordering::Relaxed));
         let _ = writeln!(out, "swaps={}", self.swaps.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "busy_rejections={}",
-            self.busy_rejections.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "shed={}", self.shed.load(Ordering::Relaxed));
-        let _ = writeln!(out, "expired={}", self.expired.load(Ordering::Relaxed));
+        self.frame.render_text(&mut out);
         let _ = writeln!(
             out,
             "distance_computations={}",
@@ -197,9 +243,6 @@ impl ServerMetrics {
         let _ = writeln!(out, "cache.misses={}", cache.misses);
         let _ = writeln!(out, "cache.insertions={}", cache.insertions);
         let _ = writeln!(out, "cache.evictions={}", cache.evictions);
-        let qw = self.queue_wait.snapshot();
-        let _ = writeln!(out, "queue_wait.p50_us={}", qw.quantile(0.50));
-        let _ = writeln!(out, "queue_wait.p99_us={}", qw.quantile(0.99));
         for (name, ep) in self.endpoints() {
             let (p50, p99) = ep.latency_quantiles_us();
             let _ = writeln!(
@@ -285,22 +328,7 @@ impl ServerMetrics {
                 ep.errors.load(Ordering::Relaxed)
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_rejected_total Requests rejected before execution, by reason."
-        );
-        let _ = writeln!(out, "# TYPE pexeso_rejected_total counter");
-        for (reason, v) in [
-            ("busy", &self.busy_rejections),
-            ("shed", &self.shed),
-            ("expired", &self.expired),
-        ] {
-            let _ = writeln!(
-                out,
-                "pexeso_rejected_total{{reason=\"{reason}\"}} {}",
-                v.load(Ordering::Relaxed)
-            );
-        }
+        self.frame.render_prometheus(&mut out, "pexeso");
         let counter = |out: &mut String, name: &str, help: &str, v: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} counter");
@@ -389,12 +417,6 @@ impl ServerMetrics {
             let _ = writeln!(out, "# TYPE {name} histogram");
             write_histogram_series(out, name, "", s);
         };
-        plain_hist(
-            &mut out,
-            "pexeso_queue_wait_microseconds",
-            "Time requests waited in the accept queue.",
-            &self.queue_wait.snapshot(),
-        );
         plain_hist(
             &mut out,
             "pexeso_wal_append_microseconds",
@@ -928,7 +950,7 @@ mod tests {
     fn render_and_parse_roundtrip() {
         let m = ServerMetrics::default();
         m.search.record(Duration::from_micros(250));
-        m.busy_rejections.fetch_add(3, Ordering::Relaxed);
+        m.frame.busy_rejections.fetch_add(3, Ordering::Relaxed);
         let cache = CacheStats {
             hits: 7,
             misses: 2,
@@ -968,7 +990,7 @@ mod tests {
         let m = ServerMetrics::default();
         m.search.record(Duration::from_micros(250));
         m.topk.record(Duration::from_micros(42));
-        m.queue_wait.record(17);
+        m.frame.queue_wait.record(17);
         m.cache_hit_lookup.record(3);
         m.record_phases(&pexeso_core::stats::SearchStats {
             mapping_time: Duration::from_micros(10),

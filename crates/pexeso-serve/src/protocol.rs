@@ -14,11 +14,12 @@
 //! connection with a [`Reply::Busy`] frame instead of queueing unboundedly.
 
 use std::io::{Read, Write};
+use std::time::Duration;
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::explain::{ExplainReport, FunnelStage, TopkExplain, TopkRound};
 use pexeso_core::outofcore::GlobalHit;
-use pexeso_core::query::{Exceeded, QueryOutcome};
+use pexeso_core::query::{Exceeded, QueryMode, QueryOutcome, QueryResponse};
 use pexeso_core::trace::{QueryTrace, TraceLevel, TraceSpan};
 
 /// First bytes of every request payload.
@@ -250,6 +251,29 @@ pub struct QueryBatch {
     pub request_id: Option<u64>,
 }
 
+impl QueryBatch {
+    /// The solo request column `i` is equivalent to — used both for
+    /// execution and for result-cache fingerprinting, so batch and solo
+    /// traffic share cache lines. Batches carry no explain request.
+    pub(crate) fn column_request(&self, i: usize) -> Request {
+        let query = QueryPayload {
+            metric: self.metric.clone(),
+            tau: self.tau,
+            policy: self.policy,
+            dim: self.dim,
+            vectors: self.columns[i].clone(),
+            ext: self.ext,
+            trace: self.trace,
+            request_id: self.request_id,
+            explain: false,
+        };
+        match self.mode {
+            BatchMode::Search(t) => Request::Search { query, t },
+            BatchMode::Topk(k) => Request::Topk { query, k },
+        }
+    }
+}
+
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -303,6 +327,37 @@ pub enum Request {
     Drain { addr: String, drained: bool },
     /// Stop accepting connections and exit once in-flight work drains.
     Shutdown,
+}
+
+impl Request {
+    /// The payload and ranking of a solo query verb (`SEARCH`/`TOPK`).
+    pub fn query(&self) -> Option<(&QueryPayload, QueryMode)> {
+        match self {
+            Request::Search { query, t } => Some((query, QueryMode::Threshold(*t))),
+            Request::Topk { query, k } => Some((query, QueryMode::Topk(*k as usize))),
+            _ => None,
+        }
+    }
+
+    /// The deadline a query or batch frame carries, if any.
+    pub(crate) fn deadline(&self) -> Option<Duration> {
+        let ext = match self {
+            Request::Search { query, .. } | Request::Topk { query, .. } => query.ext.as_ref(),
+            Request::Batch(batch) => batch.ext.as_ref(),
+            _ => None,
+        };
+        ext.and_then(|ext| ext.deadline_ms)
+            .map(Duration::from_millis)
+    }
+
+    /// The correlation id a query or batch frame carries, if any.
+    pub(crate) fn request_id(&self) -> Option<u64> {
+        match self {
+            Request::Search { query, .. } | Request::Topk { query, .. } => query.request_id,
+            Request::Batch(batch) => batch.request_id,
+            _ => None,
+        }
+    }
 }
 
 /// One joinable column on the wire.
@@ -367,6 +422,27 @@ pub struct HitsReply {
     /// cache so the funnel always describes *this* execution. Boxed so
     /// the common explain-free reply doesn't pay the report's footprint.
     pub explain: Option<Box<ExplainReport>>,
+}
+
+impl HitsReply {
+    /// The reply to a query a daemon just executed at `generation`. The
+    /// outcome/stats extension is present iff the request frame carried
+    /// one (`ext`); the phase tree travels back only if the client asked
+    /// for it (`with_trace`) — a server-sampled trace never changes the
+    /// reply shape.
+    pub fn executed(generation: u64, resp: QueryResponse, ext: bool, with_trace: bool) -> Self {
+        HitsReply {
+            generation,
+            cached: false,
+            hits: resp.hits.iter().map(WireHit::from).collect(),
+            ext: ext.then_some(HitsExt {
+                outcome: resp.outcome,
+                distance_computations: resp.stats.distance_computations,
+            }),
+            trace: resp.trace.filter(|_| with_trace),
+            explain: resp.explain.map(Box::new),
+        }
+    }
 }
 
 /// A server reply.

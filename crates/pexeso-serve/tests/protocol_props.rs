@@ -1,15 +1,18 @@
 //! Property tests for the serve frame encoding of the unified query API:
 //! any [`Query`] the builder can express survives the trip through
 //! [`wire_request`] → `encode_request` → `decode_request` with every
-//! criterion intact, and extension-less (V1) frames keep their layout.
+//! criterion intact, [`query_from_wire`] turns the frame back into the
+//! same query, and extension-less (V1) frames keep their layout.
 
 use std::time::Duration;
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::query::{Query, QueryBudget, QueryMode};
+use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 use pexeso_serve::protocol::{decode_request, encode_request, QueryExt, Request};
-use pexeso_serve::wire_request;
+use pexeso_serve::server::clamp_policy;
+use pexeso_serve::{query_from_wire, wire_request};
 use proptest::prelude::*;
 
 /// Deterministically build a `Query` from primitive proptest inputs,
@@ -143,6 +146,81 @@ proptest! {
             deadline: ext.deadline_ms.map(Duration::from_millis),
         };
         prop_assert_eq!(budget, query.budget);
+    }
+
+    /// Query → wire request → query: [`query_from_wire`] inverts
+    /// [`wire_request`] for every criterion the frame carries. The
+    /// deadline comes back rounded up to whole milliseconds and the
+    /// execution policy clamped to the server's thread ceiling; nothing
+    /// else changes.
+    #[test]
+    fn wire_request_inverts_back_to_the_query(
+        topk in 0u8..2,
+        tau_ratio in 0u8..2,
+        tau in 0.0f32..1.0,
+        t_count in 0u8..2,
+        t in 0.0f64..1.0,
+        k in 0usize..100,
+        policy_tag in 0u8..3,
+        threads in 0usize..32,
+        max_threads in 0usize..16,
+        lemma_mask in 0u8..16,
+        quick_browse in 0u8..2,
+        max_dist in 0u64..1_000_000,
+        deadline_us in 0u64..10_000_000,
+        metric in 0u8..2,
+        trace in 0u8..3,
+        rid in 0u64..u64::MAX,
+        explain in 0u8..2,
+    ) {
+        let mut query = make_query(
+            topk != 0,
+            tau_ratio != 0,
+            tau,
+            t_count != 0,
+            t * 100.0,
+            k,
+            false,
+            threads,
+            lemma_mask,
+            quick_browse != 0,
+            max_dist,
+            0,
+        )
+        .with_policy(match policy_tag {
+            0 => ExecPolicy::Sequential,
+            1 => ExecPolicy::Parallel { threads },
+            _ => ExecPolicy::Fixed { threads },
+        })
+        .with_trace([TraceLevel::Off, TraceLevel::Phases, TraceLevel::Detail][trace as usize])
+        .with_explain(explain != 0);
+        if metric == 0 {
+            query.metric = None;
+        }
+        if deadline_us > 0 {
+            query = query.with_deadline(Duration::from_micros(deadline_us));
+        }
+        if rid % 2 == 1 {
+            query = query.with_request_id(rid);
+        }
+        let request = wire_request(&query, &sample_store(3, 2));
+        let (payload, mode) = request.query().expect("a query verb");
+        let back = query_from_wire(payload, mode, max_threads, None);
+
+        let mut expected = query.clone().with_policy(clamp_policy(query.policy, max_threads));
+        expected.budget.deadline = query
+            .budget
+            .deadline
+            .map(|d| Duration::from_millis(d.as_micros().div_ceil(1000) as u64));
+        prop_assert_eq!(&back, &expected);
+        // Time already spent in the queue comes off the deadline only.
+        let waited = Duration::from_millis(3);
+        let charged = query_from_wire(payload, mode, max_threads, Some(waited));
+        prop_assert_eq!(
+            charged.budget.deadline,
+            expected.budget.deadline.map(|d| d.saturating_sub(waited))
+        );
+        prop_assert_eq!(charged.with_budget(expected.budget), expected);
     }
 
     /// V1 frames (no extension) also round-trip unchanged — the layout

@@ -14,7 +14,7 @@
 //! pexeso inspect --addr <host:port>
 //! pexeso shard-plan  --index <index-dir> --shards <n>
 //! pexeso shard-split --index <index-dir> --shards <n> --out <dir>
-//! pexeso router  --map <shardmap.txt> [--addr 127.0.0.1:7900 | --port <p>] [--workers 4] [--queue 64] [--log <level>]
+//! pexeso router  --map <shardmap.txt> [--addr 127.0.0.1:7900 | --port <p>] [--workers 4] [--queue 64] [--slow-log 8] [--log <level>]
 //! ```
 //!
 //! The offline step detects each table's key column, embeds it with the
@@ -721,7 +721,7 @@ fn cmd_router(flags: &HashMap<String, String>) -> CliResult<()> {
         "pexeso router: listening on {} ({} workers, {} shards, map {})",
         handle.addr(),
         workers,
-        handle.router().shard_count(),
+        handle.handler().router().shard_count(),
         map_path.display()
     );
     // Runs until a client sends SHUTDOWN (`pexeso query --addr ... --shutdown`).
