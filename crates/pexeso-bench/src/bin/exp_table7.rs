@@ -148,7 +148,9 @@ fn run_out_of_core(w: &Workload, n_queries: usize, k: usize) {
                 let _ = h.search(q.store(), tau, t);
             });
             let p = time_method(&|q, tau, t| {
-                let _ = lake.execute(&Query::threshold(tau, t), q.store());
+                // The paper times its partition loop sequentially.
+                let q_seq = Query::threshold(tau, t).with_policy(ExecPolicy::Sequential);
+                let _ = lake.execute(&q_seq, q.store());
             });
             table.row(vec![
                 format!("{:.0}%", t * 100.0),

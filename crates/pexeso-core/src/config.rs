@@ -208,13 +208,14 @@ impl ExecPolicy {
     }
 
     /// The number of worker threads this policy *requests* (≥ 1), before
-    /// the adaptive clamp in [`crate::exec`] is applied.
+    /// the adaptive clamp in [`crate::exec`] is applied. The machine size
+    /// of `Parallel { threads: 0 }` is resolved once per process: asking
+    /// the OS reads cgroup files, which would cost every request that
+    /// carries the default policy tens of microseconds.
     pub fn effective_threads(self) -> usize {
         match self {
             ExecPolicy::Sequential => 1,
-            ExecPolicy::Parallel { threads: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ExecPolicy::Parallel { threads: 0 } => crate::exec::hardware_threads(),
             ExecPolicy::Parallel { threads } => threads,
             ExecPolicy::Fixed { threads } => threads.max(1),
         }

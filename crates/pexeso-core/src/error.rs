@@ -22,6 +22,9 @@ pub enum PexesoError {
     /// A remote backend (e.g. a `pexeso serve` daemon) failed to answer:
     /// server-side rejection, backpressure, or a protocol violation.
     Remote(String),
+    /// Query vector `row` has a NaN or infinite component. No distance
+    /// to it is meaningful, so no backend answers such a query.
+    NonFiniteQuery { row: usize },
 }
 
 impl fmt::Display for PexesoError {
@@ -35,6 +38,12 @@ impl fmt::Display for PexesoError {
             PexesoError::Io(e) => write!(f, "I/O error: {e}"),
             PexesoError::Corrupt(msg) => write!(f, "corrupt index file: {msg}"),
             PexesoError::Remote(msg) => write!(f, "remote backend error: {msg}"),
+            PexesoError::NonFiniteQuery { row } => {
+                write!(
+                    f,
+                    "non-finite query vector: row {row} has a NaN or infinite component"
+                )
+            }
         }
     }
 }
@@ -74,6 +83,9 @@ mod tests {
         assert!(PexesoError::Corrupt("bad magic".into())
             .to_string()
             .contains("bad magic"));
+        assert!(PexesoError::NonFiniteQuery { row: 3 }
+            .to_string()
+            .contains("row 3"));
     }
 
     #[test]

@@ -27,6 +27,28 @@
 //! [`ExecPolicy::Fixed`] bypasses the clamp and shards exactly as asked —
 //! it keeps the sharded merge code exercised by differential tests on
 //! machines where the adaptive policy would (correctly) never shard.
+//!
+//! ## Partition fan-out
+//!
+//! A partitioned query's units (one partition each) are planned by
+//! [`plan_units`], which is why [`crate::query::Query`]'s default outer
+//! policy is [`ExecPolicy::auto`]: the executor, not the caller, decides
+//! whether one request's partitions run on several cores.
+//!
+//! * Resident units ([`UnitWork::Compute`]) are pure compute. They get at
+//!   most one thread per core, and only when each thread receives at
+//!   least [`MIN_FANOUT_PAIRS`] query × lake vector pairs (scaled by the
+//!   spawn calibration). Measured on a 2-core Xeon host, verification
+//!   costs 7–18 ns per pair and a 2-thread spawn+join ~45 µs, so the
+//!   floor buys ≥ ~3.5 ms of work per extra thread; a short query stays
+//!   on the caller's thread and leaves the other cores to concurrent
+//!   requests.
+//! * Disk units ([`UnitWork::Io`]) run one at a time under the default
+//!   `Parallel { threads: 0 }`, so an out-of-core search holds one
+//!   partition index in memory, the bound that backend exists for. An
+//!   explicit `Parallel { threads: n }` overlaps partition reads on up to
+//!   min(n, twice the cores) threads with no work floor, because a thread
+//!   waiting on a read costs nothing while another unit computes.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -95,18 +117,65 @@ fn plan_threads(policy: ExecPolicy, n: usize, min_items: usize) -> usize {
     }
 }
 
-/// Thread count for *coarse, I/O-overlapping* units (one disk partition
-/// per unit): clamped to twice the core count rather than the compute
-/// break-even, because a waiting thread costs nothing while another
-/// unit's disk read is in flight — overlap pays even on a single core.
-fn plan_unit_threads(policy: ExecPolicy, n: usize) -> usize {
+/// Query × lake vector pairs one extra fan-out thread must receive
+/// before a resident partition fan-out spawns it (before the spawn-cost
+/// scaling). See the [module docs](self#partition-fan-out).
+pub const MIN_FANOUT_PAIRS: u64 = 500_000;
+
+/// What one fan-out unit (one partition) of a query costs, as
+/// [`plan_units`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitWork {
+    /// Each unit first reads its partition from disk. The default policy
+    /// runs them one at a time, holding one partition in memory; an
+    /// explicit thread count overlaps the reads, which pays even on one
+    /// core, so there is no work floor.
+    Io,
+    /// Units compute over resident partitions; `pairs` is the query
+    /// vectors × lake vectors over all units together.
+    Compute { pairs: u64 },
+}
+
+impl UnitWork {
+    /// Compute units: `query_vectors` against `lake_vectors` resident
+    /// vectors.
+    pub fn resident(query_vectors: usize, lake_vectors: usize) -> Self {
+        UnitWork::Compute {
+            pairs: (query_vectors as u64).saturating_mul(lake_vectors as u64),
+        }
+    }
+}
+
+/// The resident fan-out floor in pairs per thread on this machine:
+/// [`MIN_FANOUT_PAIRS`] scaled by the calibrated spawn cost.
+pub fn fanout_floor_pairs() -> u64 {
+    MIN_FANOUT_PAIRS.saturating_mul(spawn_cost_factor() as u64)
+}
+
+/// Threads for `n` coarse units of `work` under `policy`.
+/// [`ExecPolicy::Fixed`] is exact (at most one thread per unit).
+/// [`ExecPolicy::Parallel`] is a ceiling: resident units use at most the
+/// cores and only as many threads as each get [`fanout_floor_pairs`]
+/// pairs; disk units use one thread under `Parallel { threads: 0 }` and
+/// up to twice the cores under an explicit count. Never below 1.
+pub fn plan_units(policy: ExecPolicy, n: usize, work: UnitWork) -> usize {
+    let n = n.max(1);
     match policy {
         ExecPolicy::Sequential => 1,
-        ExecPolicy::Fixed { threads } => threads.max(1).min(n.max(1)),
-        ExecPolicy::Parallel { .. } => policy
-            .effective_threads()
-            .min(hardware_threads() * 2)
-            .min(n.max(1)),
+        ExecPolicy::Fixed { threads } => threads.max(1).min(n),
+        ExecPolicy::Parallel { threads } => {
+            let ceiling = policy.effective_threads().min(n);
+            match work {
+                UnitWork::Io if threads == 0 => 1,
+                UnitWork::Io => ceiling.min(hardware_threads() * 2),
+                UnitWork::Compute { pairs } => {
+                    let by_work = (pairs / fanout_floor_pairs()).max(1);
+                    ceiling
+                        .min(hardware_threads())
+                        .min(usize::try_from(by_work).unwrap_or(usize::MAX))
+                }
+            }
+        }
     }
 }
 
@@ -198,48 +267,20 @@ where
     });
 }
 
-/// Dynamic work-stealing loop for *coarse* units of uneven cost (e.g. one
-/// disk partition per unit). `f(i)` runs once for every `i in 0..n`;
-/// results are returned in unit order. Unlike [`map_ranges`] the
-/// assignment of units to threads is dynamic, which is safe exactly
-/// because each unit's result is independent of every other.
-pub fn map_units<T, F>(policy: ExecPolicy, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = plan_unit_threads(policy, n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots = std::sync::Mutex::new(&mut out);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (next, slots, f) = (&next, &slots, &f);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                slots.lock().expect("result lock poisoned")[i] = Some(r);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("every unit produced a result"))
-        .collect()
-}
-
-/// Fallible [`map_units`]: stops handing out new units after the first
-/// `Err` (or worker panic, converted to the supplied error) and returns
-/// the lowest-indexed failure, like a sequential `?` loop would. Units
-/// already in flight on other threads still run to completion; their
-/// results are discarded when an earlier unit failed.
+/// Dynamic work-stealing loop for *coarse* units of uneven cost (one
+/// partition per unit) on `threads` threads, as [`plan_units`] plans
+/// them. `f(i)` runs once for every `i in 0..n`; results are returned in
+/// unit order. The assignment of units to threads is dynamic, which is
+/// safe exactly because each unit's result is independent of every
+/// other.
+///
+/// Stops handing out new units after the first `Err` (or worker panic,
+/// converted to the supplied error) and returns the lowest-indexed
+/// failure, like a sequential `?` loop would. Units already in flight on
+/// other threads still run to completion; their results are discarded
+/// when an earlier unit failed.
 pub fn try_map_units<T, E, F>(
-    policy: ExecPolicy,
+    threads: usize,
     n: usize,
     on_panic: impl Fn() -> E + Sync,
     f: F,
@@ -249,7 +290,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let threads = plan_unit_threads(policy, n);
+    let threads = threads.min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
@@ -257,25 +298,29 @@ where
     let abort = std::sync::atomic::AtomicBool::new(false);
     let mut out: Vec<Option<Result<T, E>>> = (0..n).map(|_| None).collect();
     let slots = std::sync::Mutex::new(&mut out);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (next, abort, slots, f, on_panic) = (&next, &abort, &slots, &f, &on_panic);
-            scope.spawn(move || loop {
-                if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                    .unwrap_or_else(|_| Err(on_panic()));
-                if r.is_err() {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                slots.lock().expect("result lock poisoned")[i] = Some(r);
-            });
+    let worker = || loop {
+        if abort.load(std::sync::atomic::Ordering::Relaxed) {
+            break;
         }
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
+            .unwrap_or_else(|_| Err(on_panic()));
+        if r.is_err() {
+            abort.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+        slots.lock().expect("result lock poisoned")[i] = Some(r);
+    };
+    // The calling thread is one of the `threads`: it spawns one fewer
+    // and works instead of waiting, which saves a spawn and the extra
+    // allocator arena a further thread would keep.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
     });
     // Surface the lowest-indexed error (matching a sequential loop); a
     // trailing `None` can only follow an abort.
@@ -361,19 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn map_units_preserves_order() {
-        let seq = map_units(ExecPolicy::Sequential, 20, |i| i * i);
-        for policy in [
-            ExecPolicy::Fixed { threads: 4 },
-            ExecPolicy::Parallel { threads: 4 },
-        ] {
-            let par = map_units(policy, 20, |i| i * i);
-            assert_eq!(seq, par, "{policy:?}");
-        }
-        assert_eq!(seq[3], 9);
-    }
-
-    #[test]
     fn adaptive_clamp_bounds_parallel_but_not_fixed() {
         let hw = hardware_threads();
         assert!(hw >= 1);
@@ -397,20 +429,65 @@ mod tests {
             64
         );
         assert_eq!(plan_threads(ExecPolicy::Sequential, 1 << 20, 1), 1);
-        // Unit planning stays within 2× cores for Parallel, exact for Fixed.
-        assert!(plan_unit_threads(ExecPolicy::Parallel { threads: 64 }, 64) <= hw * 2);
-        assert_eq!(plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, 64), 6);
-        assert_eq!(plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, 3), 3);
+    }
+
+    #[test]
+    fn unit_plans_io_and_fixed() {
+        let hw = hardware_threads();
+        let par = ExecPolicy::Parallel { threads: 64 };
+        // An explicit count overlaps disk units up to 2× cores, floor-free.
+        let io = plan_units(par, 64, UnitWork::Io);
+        assert!(io >= 1 && io <= hw * 2 && io == 64.min(hw * 2), "{io}");
+        assert_eq!(plan_units(par, 1, UnitWork::Io), 1);
+        // The default keeps one disk partition in memory at a time.
+        assert_eq!(plan_units(ExecPolicy::auto(), 64, UnitWork::Io), 1);
+        // Fixed is exact up to one thread per unit, whatever the work.
+        let tiny = UnitWork::Compute { pairs: 1 };
+        assert_eq!(plan_units(ExecPolicy::Fixed { threads: 6 }, 64, tiny), 6);
+        assert_eq!(plan_units(ExecPolicy::Fixed { threads: 6 }, 3, tiny), 3);
+        assert_eq!(plan_units(ExecPolicy::Sequential, 64, UnitWork::Io), 1);
+        // Zero units still plan one thread.
+        assert_eq!(plan_units(par, 0, UnitWork::Io), 1);
+    }
+
+    #[test]
+    fn resident_fanout_needs_the_work_floor() {
+        let hw = hardware_threads();
+        let floor = fanout_floor_pairs();
+        assert!(floor >= MIN_FANOUT_PAIRS);
+        let auto = ExecPolicy::auto();
+        // Below the floor: one thread, whatever the ceiling or unit count.
+        for pairs in [0, 1, floor - 1, 2 * floor - 1] {
+            let work = UnitWork::Compute { pairs };
+            assert_eq!(plan_units(auto, 4, work), 1, "pairs={pairs}");
+            assert_eq!(plan_units(ExecPolicy::Parallel { threads: 64 }, 4, work), 1);
+        }
+        // Far above it: as many threads as cores and units allow.
+        let big = UnitWork::Compute {
+            pairs: floor * 1000,
+        };
+        assert_eq!(plan_units(auto, 4, big), hw.min(4));
+        assert_eq!(plan_units(auto, 1, big), 1);
+        assert_eq!(
+            plan_units(ExecPolicy::Parallel { threads: 64 }, 64, big),
+            hw
+        );
+        // In between, every thread still gets a floor's worth of pairs.
+        let three = UnitWork::Compute { pairs: floor * 3 };
+        assert_eq!(plan_units(auto, 64, three), hw.min(3));
+        // An explicit ceiling still caps, and Sequential pins one thread.
+        assert_eq!(plan_units(ExecPolicy::Parallel { threads: 1 }, 4, big), 1);
+        assert_eq!(plan_units(ExecPolicy::Sequential, 4, big), 1);
     }
 
     #[test]
     fn try_map_units_short_circuits_and_reports_lowest_error() {
-        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { threads: 4 }] {
-            let ok = try_map_units(policy, 10, || "panic", |i| Ok::<_, &str>(i * 2));
+        for threads in [1, 4] {
+            let ok = try_map_units(threads, 10, || "panic", |i| Ok::<_, &str>(i * 2));
             assert_eq!(ok.unwrap(), (0..10).map(|i| i * 2).collect::<Vec<_>>());
 
             let err = try_map_units(
-                policy,
+                threads,
                 10,
                 || "panic".to_string(),
                 |i| {
@@ -422,14 +499,14 @@ mod tests {
                 },
             );
             // Lowest-indexed failure, like a sequential `?` loop.
-            assert_eq!(err.unwrap_err(), "unit 3 failed", "{policy:?}");
+            assert_eq!(err.unwrap_err(), "unit 3 failed", "{threads} threads");
         }
     }
 
     #[test]
     fn try_map_units_converts_worker_panics_to_errors() {
         let err = try_map_units(
-            ExecPolicy::Parallel { threads: 3 },
+            3,
             6,
             || "worker panicked",
             |i| {
@@ -444,7 +521,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert_eq!(map_units(ExecPolicy::auto(), 0, |i| i).len(), 0);
+        let none = try_map_units(4, 0, || (), Ok::<_, ()>);
+        assert_eq!(none.unwrap().len(), 0);
         let v = map_ranges(ExecPolicy::auto(), 0, |r| r.len());
         assert_eq!(v.into_iter().sum::<usize>(), 0);
         let mut empty: [u8; 0] = [];

@@ -3,21 +3,25 @@
 //! When the repository exceeds main memory, columns are partitioned
 //! (see [`crate::partition`]), one PEXESO index is built and persisted per
 //! partition, and a search loads partitions one at a time, merging results.
-//! [`PartitionedLake::search_with_policy`] runs the same loop under the
-//! crate-wide [`ExecPolicy`]: partitions are coarse work units handed to a
-//! [`crate::exec::map_units`] work-stealing pool, overlapping partition
-//! loading with searching (an extension over the paper's sequential loop;
-//! the sequential mode is the default and is what the experiments time).
-//! Results are identical for every policy.
+//! [`execute_partitioned`] runs the same loop under the query's outer
+//! [`ExecPolicy`]: partitions are coarse work units handed to a
+//! [`crate::exec::try_map_units`] work-stealing pool on the threads
+//! [`crate::exec::plan_units`] plans — spreading a large query's
+//! resident partitions over idle cores, and, when the caller asks for an
+//! explicit `Parallel { threads: n }`, overlapping a disk-backed lake's
+//! partition loading with searching (an extension over the paper's
+//! sequential loop; `ExecPolicy::Sequential` is what the experiments
+//! time). The default policy still loads a disk lake's partitions one at
+//! a time. Results are identical for every policy.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::column::ColumnSet;
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, Tau};
 use crate::error::{PexesoError, Result};
-use crate::exec;
+use crate::exec::{self, UnitWork};
 use crate::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
 use crate::partition::{partition_columns, split_column_set, PartitionConfig};
 use crate::persist::{load_index, save_index};
@@ -289,7 +293,8 @@ impl PartitionedLake {
         query: &Query,
         vectors: &VectorStore,
     ) -> Result<QueryResponse> {
-        execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
+        let n = self.partition_files.len();
+        execute_partitioned(n, query, vectors, UnitWork::Io, |i, inner, guard| {
             let index = load_index(&self.partition_files[i], metric.clone())?;
             execute_on_index(&index, inner, vectors, guard)
         })
@@ -304,7 +309,8 @@ impl PartitionedLake {
         query: &Query,
         columns: &[&VectorStore],
     ) -> Result<Vec<QueryResponse>> {
-        execute_partitioned_many(self.partition_files.len(), query, columns, |i| {
+        let n = self.partition_files.len();
+        execute_partitioned_many(n, query, columns, UnitWork::Io, |i| {
             load_index(&self.partition_files[i], metric.clone())
         })
     }
@@ -634,47 +640,59 @@ pub fn execute_on_index_explained<M: Metric>(
     }
 }
 
+/// One column's answer from one partition: global hits, that partition's
+/// stats, and any budget limit the partition sweep tripped for it.
+pub type PartitionAnswer = (Vec<GlobalHit>, SearchStats, Option<Exceeded>);
+
 /// The shared partition loop behind the out-of-core and resident
-/// backends: fan `run(i, …)` over the partitions under `query.policy`
-/// (each partition's inner search demoted to sequential — the crate-wide
-/// no-nested-fan-out rule), merge per-partition results in partition
-/// order, and apply the unified final ranking.
+/// backends: fan `run(i, …)` over the partitions on the threads
+/// [`exec::plan_units`] plans for `query.policy` and `work`, merge
+/// per-partition results in partition order, and apply the unified
+/// final ranking. When the plan uses more than one thread, each
+/// partition's inner search is demoted to sequential (the crate-wide
+/// no-nested-fan-out rule).
 ///
-/// A budgeted query runs the partition loop sequentially instead: the
-/// guard carries the spent budget from one partition into the next, and
-/// the loop stops at the first partition that trips a limit, so the
-/// distance-cap cutoff is deterministic. `Topk(0)` answers empty without
-/// touching any partition — the unified `k = 0` contract.
+/// A query vector with a NaN or infinite component is a typed error
+/// before any partition runs. A budgeted query runs the partition loop
+/// sequentially instead: the guard carries the spent budget from one
+/// partition into the next, and the loop stops at the first partition
+/// that trips a limit, so the distance-cap cutoff is deterministic.
+/// `Topk(0)` answers empty without touching any partition — the unified
+/// `k = 0` contract.
 ///
 /// Public as a backend building block: a unit need not be a plain
 /// partition — the delta-overlay executor in `pexeso-delta` passes
 /// closures that filter tombstoned hits and fold an in-memory delta index
 /// in as one extra unit, inheriting the fan-out, budget, and ranking
 /// semantics unchanged.
-pub fn execute_partitioned<F>(n_partitions: usize, query: &Query, run: F) -> Result<QueryResponse>
+pub fn execute_partitioned<F>(
+    n_partitions: usize,
+    query: &Query,
+    vectors: &VectorStore,
+    work: UnitWork,
+    run: F,
+) -> Result<QueryResponse>
 where
-    F: Fn(
-            usize,
-            &Query,
-            &mut Option<BudgetGuard>,
-        ) -> Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)>
-        + Sync,
+    F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> Result<PartitionAnswer> + Sync,
 {
     let started = Instant::now();
+    vectors.ensure_finite()?;
     if let QueryMode::Topk(0) = query.mode {
         return Ok(empty_topk_response(query));
     }
-    let inner = Query {
-        options: query.options.demoted_under(query.policy),
-        ..query.clone()
-    };
     let mut guard = BudgetGuard::start(&query.budget);
+    let threads = match guard {
+        Some(_) => 1,
+        None => exec::plan_units(query.policy, n_partitions, work),
+    };
+    let inner = inner_query(query, threads);
+    let traced = query.trace.enabled();
     let per_partition = if guard.is_some() {
         let mut out = Vec::new();
         for i in 0..n_partitions {
-            let part = run(i, &inner, &mut guard)?;
-            let tripped = part.2.is_some();
-            out.push(part);
+            let (answer, clock) = timed(traced, started, || run(i, &inner, &mut guard))?;
+            let tripped = answer.2.is_some();
+            out.push((answer, clock));
             if tripped {
                 break;
             }
@@ -686,51 +704,36 @@ where
         // a worker panic into a recoverable error instead of crashing a
         // long-running server.
         exec::try_map_units(
-            query.policy,
+            threads,
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| {
-                let mut unbudgeted = None;
-                run(i, &inner, &mut unbudgeted)
+                timed(traced, started, || {
+                    let mut unbudgeted = None;
+                    run(i, &inner, &mut unbudgeted)
+                })
             },
         )?
     };
     // The one branch the untraced path pays; everything trace-related
     // below is behind it.
-    let merge_start = query.trace.enabled().then(Instant::now);
-    let mut unit_spans = Vec::new();
+    let merge_start = traced.then(Instant::now);
     let mut stats = SearchStats::new();
     let mut hits = Vec::new();
     let mut outcome = QueryOutcome::Exact;
-    for (i, (h, s, e)) in per_partition.into_iter().enumerate() {
-        if query.trace == crate::trace::TraceLevel::Detail {
-            unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
-        }
+    let mut units = Vec::new();
+    for ((h, s, e), clock) in per_partition {
         stats.merge(&s);
         hits.extend(h);
         fold_outcome(&mut outcome, e);
+        units.extend(clock.map(|c| (s, c)));
     }
-    let hits = match query.mode {
-        QueryMode::Threshold(_) => {
-            sort_threshold_hits(&mut hits);
-            hits
-        }
-        QueryMode::Topk(k) => rank_topk_hits(hits, k),
-    };
+    let hits = rank_hits(query.mode, hits);
+    // (time the fan-out took, time the merge took)
+    let walls = merge_start.map(|m| (m.duration_since(started), m.elapsed()));
     stats.total_time = started.elapsed();
-    let trace = merge_start.map(|m| {
-        let mut root = crate::trace::phase_tree(&stats, stats.total_time, m.elapsed());
-        // Lay the per-partition spans back-to-back like the phases; under
-        // a parallel policy they overlap in wall-clock, so the offsets
-        // are a reading order, not a schedule.
-        let mut off = 0;
-        for mut s in unit_spans {
-            s.start_us = off;
-            off += s.duration_us;
-            root.children.push(s);
-        }
-        crate::trace::QueryTrace::new(root)
-    });
+    let trace =
+        walls.map(|(fanout, merge)| fanout_trace(query.trace, &stats, merge, fanout, &units));
     let explain = query.explain.then(|| {
         crate::explain::ExplainReport::from_stats(query, &stats, hits.len() as u64, outcome, None)
     });
@@ -741,6 +744,97 @@ where
         trace,
         explain,
     })
+}
+
+/// `query` as each partition runs it on a fan-out of `threads`: a real
+/// fan-out owns the cores, so the inner search is demoted to sequential;
+/// a one-thread loop keeps the caller's inner policy.
+fn inner_query(query: &Query, threads: usize) -> Query {
+    let options = if threads > 1 {
+        query.options.demoted_under(query.policy)
+    } else {
+        query.options
+    };
+    Query {
+        options,
+        ..query.clone()
+    }
+}
+
+/// Apply the unified final ranking to merged partition hits.
+fn rank_hits(mode: QueryMode, mut hits: Vec<GlobalHit>) -> Vec<GlobalHit> {
+    match mode {
+        QueryMode::Threshold(_) => {
+            sort_threshold_hits(&mut hits);
+            hits
+        }
+        QueryMode::Topk(k) => rank_topk_hits(hits, k),
+    }
+}
+
+/// When one fan-out unit ran: its start offset from the query start and
+/// its wall-clock duration. Recorded for traced queries only.
+#[derive(Debug, Clone, Copy)]
+struct UnitClock {
+    start: Duration,
+    wall: Duration,
+}
+
+/// Run one unit, timing it when the query is traced.
+fn timed<T>(
+    traced: bool,
+    started: Instant,
+    unit: impl FnOnce() -> Result<T>,
+) -> Result<(T, Option<UnitClock>)> {
+    if !traced {
+        return unit().map(|r| (r, None));
+    }
+    let t0 = Instant::now();
+    let r = unit()?;
+    let clock = UnitClock {
+        start: t0.duration_since(started),
+        wall: t0.elapsed(),
+    };
+    Ok((r, Some(clock)))
+}
+
+/// The trace of one partitioned execution. `stats` holds the phase times
+/// summed over units (busy time); under a fan-out the units overlap, so
+/// the root's map/block/verify spans are scaled by
+/// min(1, `fanout_wall` ÷ Σ unit wall) to fit the wall clock the fan-out
+/// took — the phase spans then never run past the root, whatever the
+/// policy. At [`crate::trace::TraceLevel::Detail`] each unit adds a
+/// `partition/{i}` span at its real start offset.
+fn fanout_trace(
+    level: crate::trace::TraceLevel,
+    stats: &SearchStats,
+    merge: Duration,
+    fanout_wall: Duration,
+    units: &[(SearchStats, UnitClock)],
+) -> crate::trace::QueryTrace {
+    let busy: Duration = units.iter().map(|(_, c)| c.wall).sum();
+    let mut shown = stats.clone();
+    if busy > fanout_wall {
+        let scale = |d: Duration| {
+            let ns = d.as_nanos() * fanout_wall.as_nanos() / busy.as_nanos();
+            Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
+        };
+        shown.mapping_time = scale(stats.mapping_time);
+        shown.block_time = scale(stats.block_time);
+        shown.verify_time = scale(stats.verify_time);
+    }
+    let mut root = crate::trace::phase_tree(&shown, stats.total_time, merge);
+    if level == crate::trace::TraceLevel::Detail {
+        for (i, (s, clock)) in units.iter().enumerate() {
+            root.children.push(crate::trace::unit_span(
+                format!("partition/{i}"),
+                s,
+                clock.start,
+                clock.wall,
+            ));
+        }
+    }
+    crate::trace::QueryTrace::new(root)
 }
 
 /// A [`QueryResponse`] for the `Topk(0)` fast path: no hits, zeroed
@@ -764,24 +858,23 @@ fn empty_topk_response(query: &Query) -> QueryResponse {
 /// **once** for all columns instead of once per column — for the
 /// disk-backed lake this turns `columns × partitions` index loads into
 /// `partitions` loads. `get_index(i)` materialises partition `i` (a disk
-/// load for the lake, a borrow for the resident form).
+/// load for the lake, a borrow for the resident form); `work` describes
+/// the whole sweep (all columns' query vectors) for the fan-out plan.
 ///
-/// Per-column semantics mirror the solo loop exactly: `Topk(0)` answers
-/// empty without touching a partition, inner searches are demoted under
-/// the outer policy, per-partition results merge in partition order with
-/// the unified final ranking, and a budgeted query carries each column's
-/// guard across partitions in order, stopping that column at the first
-/// tripped limit. `responses[c]` therefore carries the same hits, outcome,
-/// and stats counters as `execute(query, columns[c])`; only wall-clock
-/// timings differ (they reflect the shared sweep).
-/// One column's answer from one partition: global hits, that partition's
-/// stats, and any budget limit the partition sweep tripped for it.
-type PartitionAnswer = (Vec<GlobalHit>, SearchStats, Option<Exceeded>);
-
+/// Per-column semantics mirror the solo loop exactly: non-finite query
+/// vectors are a typed error, `Topk(0)` answers empty without touching a
+/// partition, inner searches are demoted under a real fan-out,
+/// per-partition results merge in partition order with the unified final
+/// ranking, and a budgeted query carries each column's guard across
+/// partitions in order, stopping that column at the first tripped limit.
+/// `responses[c]` therefore carries the same hits, outcome, and stats
+/// counters as `execute(query, columns[c])`; only wall-clock timings
+/// differ (they reflect the shared sweep).
 fn execute_partitioned_many<M, I, G>(
     n_partitions: usize,
     query: &Query,
     columns: &[&VectorStore],
+    work: UnitWork,
     get_index: G,
 ) -> Result<Vec<QueryResponse>>
 where
@@ -793,19 +886,26 @@ where
     if columns.is_empty() {
         return Ok(Vec::new());
     }
+    for col in columns {
+        col.ensure_finite()?;
+    }
     if let QueryMode::Topk(0) = query.mode {
         return Ok(columns.iter().map(|_| empty_topk_response(query)).collect());
     }
-    let inner = Query {
-        options: query.options.demoted_under(query.policy),
-        ..query.clone()
-    };
     // per_column[c] accumulates column c's results in partition order.
     let mut per_column: Vec<Vec<PartitionAnswer>> = columns.iter().map(|_| Vec::new()).collect();
     let mut guards: Vec<Option<BudgetGuard>> = columns
         .iter()
         .map(|_| BudgetGuard::start(&query.budget))
         .collect();
+    let threads = match guards[0] {
+        Some(_) => 1,
+        None => exec::plan_units(query.policy, n_partitions, work),
+    };
+    let inner = inner_query(query, threads);
+    let traced = query.trace.enabled();
+    // clocks[i] times the sweep of partition i over every column.
+    let mut clocks: Vec<Option<UnitClock>> = Vec::new();
     if guards[0].is_some() {
         // Budgeted: a deterministic sequential sweep, each column's guard
         // carried across partitions exactly as the solo loop carries it.
@@ -814,76 +914,71 @@ where
             if stopped.iter().all(|&s| s) {
                 break;
             }
-            let index = get_index(i)?;
-            let index = index.borrow();
-            for (c, col) in columns.iter().enumerate() {
-                if stopped[c] {
-                    continue;
+            let ((), clock) = timed(traced, started, || {
+                let index = get_index(i)?;
+                let index = index.borrow();
+                for (c, col) in columns.iter().enumerate() {
+                    if stopped[c] {
+                        continue;
+                    }
+                    let part = execute_on_index(index, &inner, col, &mut guards[c])?;
+                    if part.2.is_some() {
+                        stopped[c] = true;
+                    }
+                    per_column[c].push(part);
                 }
-                let part = execute_on_index(index, &inner, col, &mut guards[c])?;
-                if part.2.is_some() {
-                    stopped[c] = true;
-                }
-                per_column[c].push(part);
-            }
+                Ok(())
+            })?;
+            clocks.push(clock);
         }
     } else {
         let parts = exec::try_map_units(
-            query.policy,
+            threads,
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| {
-                let index = get_index(i)?;
-                let index = index.borrow();
-                columns
-                    .iter()
-                    .map(|col| {
-                        let mut unbudgeted = None;
-                        execute_on_index(index, &inner, col, &mut unbudgeted)
-                    })
-                    .collect::<Result<Vec<_>>>()
+                timed(traced, started, || {
+                    let index = get_index(i)?;
+                    let index = index.borrow();
+                    columns
+                        .iter()
+                        .map(|col| {
+                            let mut unbudgeted = None;
+                            execute_on_index(index, &inner, col, &mut unbudgeted)
+                        })
+                        .collect::<Result<Vec<_>>>()
+                })
             },
         )?;
-        for part in parts {
+        for (part, clock) in parts {
             for (c, r) in part.into_iter().enumerate() {
                 per_column[c].push(r);
             }
+            clocks.push(clock);
         }
     }
+    let fanout_wall = traced.then(|| started.elapsed());
     Ok(per_column
         .into_iter()
         .map(|parts| {
-            let merge_start = query.trace.enabled().then(Instant::now);
-            let mut unit_spans = Vec::new();
+            let merge_start = traced.then(Instant::now);
             let mut stats = SearchStats::new();
             let mut hits = Vec::new();
             let mut outcome = QueryOutcome::Exact;
-            for (i, (h, s, e)) in parts.into_iter().enumerate() {
-                if query.trace == crate::trace::TraceLevel::Detail {
-                    unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
-                }
+            let mut units = Vec::new();
+            // A budget-stopped column has answers for a prefix of the
+            // partitions only; zip pairs each with its partition's clock.
+            for ((h, s, e), clock) in parts.into_iter().zip(&clocks) {
                 stats.merge(&s);
                 hits.extend(h);
                 fold_outcome(&mut outcome, e);
+                units.extend(clock.map(|c| (s, c)));
             }
-            let hits = match query.mode {
-                QueryMode::Threshold(_) => {
-                    sort_threshold_hits(&mut hits);
-                    hits
-                }
-                QueryMode::Topk(k) => rank_topk_hits(hits, k),
-            };
+            let hits = rank_hits(query.mode, hits);
+            let walls = fanout_wall.zip(merge_start.map(|m| m.elapsed()));
             stats.total_time = started.elapsed();
-            let trace = merge_start.map(|m| {
-                let mut root = crate::trace::phase_tree(&stats, stats.total_time, m.elapsed());
-                let mut off = 0;
-                for mut s in unit_spans {
-                    s.start_us = off;
-                    off += s.duration_us;
-                    root.children.push(s);
-                }
-                crate::trace::QueryTrace::new(root)
-            });
+            let trace = walls
+                .map(|(fanout, merge)| fanout_trace(query.trace, &stats, merge, fanout, &units));
             let explain = query.explain.then(|| {
                 crate::explain::ExplainReport::from_stats(
                     query,
@@ -947,9 +1042,29 @@ impl<M: Metric> ResidentPartitions<M> {
         query: &Query,
         vectors: &VectorStore,
     ) -> Result<QueryResponse> {
-        execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
-            execute_on_index(&self.indexes[i], inner, vectors, guard)
-        })
+        let work = self.work(vectors.len());
+        execute_partitioned(
+            self.indexes.len(),
+            query,
+            vectors,
+            work,
+            |i, inner, guard| execute_on_index(&self.indexes[i], inner, vectors, guard),
+        )
+    }
+
+    /// Vectors stored over all resident partitions (tombstoned columns
+    /// included): the lake side of a query's work estimate.
+    pub fn lake_vectors(&self) -> usize {
+        self.indexes
+            .iter()
+            .map(|ix| ix.columns().store().len())
+            .sum()
+    }
+
+    /// The fan-out work of `query_vectors` query vectors against every
+    /// resident partition.
+    fn work(&self, query_vectors: usize) -> UnitWork {
+        UnitWork::resident(query_vectors, self.lake_vectors())
     }
 
     /// In-memory counterpart of [`PartitionedLake::search_with_policy`];
@@ -1022,7 +1137,8 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
                 )));
             }
         }
-        execute_partitioned_many(self.indexes.len(), query, columns, |i| {
+        let work = self.work(columns.iter().map(|c| c.len()).sum());
+        execute_partitioned_many(self.indexes.len(), query, columns, work, |i| {
             Ok::<_, PexesoError>(&self.indexes[i])
         })
     }

@@ -166,6 +166,15 @@ pub struct Query {
     /// Outer fan-out policy: how partitions (out-of-core/resident
     /// backends) or whole queries ([`Queryable::execute_many`]) are spread
     /// over threads. Results are policy-independent.
+    ///
+    /// The default, [`ExecPolicy::auto`], lets the executor decide
+    /// ([`crate::exec::plan_units`]): a resident lake spreads its
+    /// partitions over the cores only when the query × lake vector pairs
+    /// clear the work floor ([`crate::exec::MIN_FANOUT_PAIRS`] per
+    /// thread), an index batch fans whole query columns out under the
+    /// same floor, and a disk lake loads its partitions one at a time
+    /// (an explicit `Parallel { threads: n }` overlaps the reads). An
+    /// explicit `Sequential` or `Fixed` pins the fan-out.
     pub policy: ExecPolicy,
     /// Metric the backend is expected to have been built with (e.g.
     /// `"euclidean"`). Backends that know their metric reject a mismatch
@@ -198,7 +207,7 @@ impl Query {
             mode,
             tau,
             options: SearchOptions::default(),
-            policy: ExecPolicy::Sequential,
+            policy: ExecPolicy::auto(),
             metric: None,
             budget: QueryBudget::default(),
             trace: TraceLevel::Off,
@@ -440,6 +449,8 @@ mod tests {
         assert_eq!(q.request_id, Some(0xabcd));
         assert!(q.explain);
         let default = Query::topk(Tau::Ratio(0.06), 7);
+        assert_eq!(default.policy, ExecPolicy::auto(), "the executor decides");
+        assert_eq!(default.options.exec, ExecPolicy::Sequential);
         assert_eq!(default.trace, TraceLevel::Off);
         assert_eq!(default.request_id, None);
         assert!(!default.explain);

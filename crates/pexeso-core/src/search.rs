@@ -12,7 +12,7 @@ use crate::block::{block_with, quick_browse, BlockOutput};
 use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
 use crate::error::{PexesoError, Result};
-use crate::exec;
+use crate::exec::{self, UnitWork};
 use crate::grid::{GridParams, HierarchicalGrid};
 use crate::invindex::InvertedIndex;
 use crate::lemmas;
@@ -852,6 +852,7 @@ impl<M: Metric> PexesoIndex<M> {
         premapped: Option<&MappedVectors>,
     ) -> Result<QueryResponse> {
         self.check_metric_expectation(query)?;
+        vectors.ensure_finite()?;
         let mut guard = BudgetGuard::start(&query.budget);
         let (mut hits, stats, exceeded, trajectory) = crate::outofcore::execute_on_index_explained(
             self, query, vectors, &mut guard, premapped,
@@ -953,19 +954,28 @@ impl<M: Metric> Queryable for PexesoIndex<M> {
 
     /// Batched execution: one shared pivot-mapping pass maps every query
     /// vector of every column in a single batched kernel walk (see
-    /// `Self::premap_columns`), then `query.policy` fans whole query
-    /// columns across threads; each query itself is demoted to sequential
-    /// under a parallel outer policy (the crate-wide no-nested-fan-out
-    /// rule). The mapping arena is policy-invariant and rows are mapped
-    /// independently, so `responses[i]` is byte-identical to
-    /// `execute(query, columns[i])` — stats counters included.
+    /// `Self::premap_columns`), then whole query columns fan out over the
+    /// threads [`exec::plan_units`] plans for `query.policy` — compute
+    /// units under the resident work floor, counting every column's
+    /// vectors against the index's, so a small batch stays on the
+    /// caller's thread. When it fans out, each query itself is demoted to
+    /// sequential (the crate-wide no-nested-fan-out rule). The mapping
+    /// arena is policy-invariant and rows are mapped independently, so
+    /// `responses[i]` is byte-identical to `execute(query, columns[i])` —
+    /// stats counters included.
     fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
+        let query_vectors = columns.iter().map(|c| c.len()).sum();
+        let work = UnitWork::resident(query_vectors, self.columns.store().len());
+        let (outer, premap) = match exec::plan_units(query.policy, columns.len(), work) {
+            1 => (ExecPolicy::Sequential, ExecPolicy::Sequential),
+            threads => (ExecPolicy::Fixed { threads }, query.policy),
+        };
         let inner = Query {
-            options: query.options.demoted_under(query.policy),
+            options: query.options.demoted_under(outer),
             ..query.clone()
         };
-        let premapped = self.premap_columns(query.policy, columns);
-        let shards = exec::map_ranges_min(query.policy, columns.len(), 2, |range| {
+        let premapped = self.premap_columns(premap, columns);
+        let shards = exec::map_ranges_min(outer, columns.len(), 2, |range| {
             range
                 .map(|i| {
                     self.execute_premapped(&inner, columns[i], premapped.as_ref().map(|p| &p[i]))

@@ -8,6 +8,13 @@
 use std::time::Duration;
 
 /// Counters and timings of one joinable-column search.
+///
+/// A partitioned search [`merge`](Self::merge)s its partitions' stats,
+/// so the phase times (`mapping_time`, `block_time`, `verify_time`) are
+/// busy time summed over partitions: when partitions fan out over
+/// several threads they can add up to more than `total_time`, the
+/// request's wall clock. A trace scales its phase spans to fit; see
+/// [`crate::outofcore::execute_partitioned`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchStats {
     /// Exact d(·,·) computations during verification (the paper's Fig. 6a

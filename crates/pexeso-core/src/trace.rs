@@ -14,10 +14,13 @@
 //! branch per execution: backends build the span tree after the fact
 //! from the [`SearchStats`](crate::stats::SearchStats) phase timings they
 //! already collect, so no timer or allocation is added to an untraced
-//! query (pinned by the `trace_disabled` bench row). Span offsets are
-//! therefore *monotonic phase offsets* — each phase starts where the
-//! previous one ended — not independent wall-clock stamps; durations are
-//! the measured ones.
+//! query (pinned by the `trace_disabled` bench row). Phase span offsets
+//! are therefore *monotonic phase offsets* — each phase starts where the
+//! previous one ended — not independent wall-clock stamps. A partitioned
+//! query's per-partition spans are the exception: they carry each unit's
+//! real start offset and wall time, and because those units may overlap
+//! the phase durations (busy time summed over units) are scaled down to
+//! the fan-out's wall time, so the phases never outlast the root.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -153,8 +156,9 @@ impl QueryTrace {
 
     /// Sum of the canonical phase spans (`map`, `block`, `verify`,
     /// `merge`) among the root's direct children — the phase total a
-    /// caller compares against the measured request latency. Per-unit
-    /// detail spans cover the *same* time as the phases, so they are
+    /// caller compares against the measured request latency; it never
+    /// exceeds the root, whatever the execution policy. Per-unit detail
+    /// spans cover the *same* time as the phases, so they are
     /// deliberately excluded: counting both would double-book the clock.
     pub fn phase_sum(&self) -> Duration {
         Duration::from_micros(
@@ -237,10 +241,16 @@ pub fn phase_tree(
         ))
 }
 
-/// A per-unit (partition / delta / column) child span built from that
-/// unit's stats, attached under the root at [`TraceLevel::Detail`].
-pub fn unit_span(name: impl Into<String>, stats: &crate::stats::SearchStats) -> TraceSpan {
-    TraceSpan::new(name, 0, stats.total_time.as_micros() as u64)
+/// A per-unit (partition / delta / column) child span attached under the
+/// root at [`TraceLevel::Detail`]: the unit's real start offset and wall
+/// time, with the headline counters from its stats.
+pub fn unit_span(
+    name: impl Into<String>,
+    stats: &crate::stats::SearchStats,
+    start: Duration,
+    wall: Duration,
+) -> TraceSpan {
+    TraceSpan::new(name, start.as_micros() as u64, wall.as_micros() as u64)
         .counter("distance_computations", stats.distance_computations)
         .counter("candidate_pairs", stats.candidate_pairs)
 }

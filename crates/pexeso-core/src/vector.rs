@@ -123,6 +123,15 @@ impl VectorStore {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
+
+    /// Reject a query column holding a NaN or infinite component with
+    /// [`PexesoError::NonFiniteQuery`] naming the first such row.
+    pub fn ensure_finite(&self) -> Result<()> {
+        match self.data.iter().position(|x| !x.is_finite()) {
+            None => Ok(()),
+            Some(at) => Err(PexesoError::NonFiniteQuery { row: at / self.dim }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -205,7 +214,14 @@ mod tests {
         let mut s = VectorStore::new(2);
         s.push(&[1.0, 2.0]).unwrap();
         assert!(!s.has_non_finite());
+        assert!(s.ensure_finite().is_ok());
+        s.push(&[0.0, f32::INFINITY]).unwrap();
         s.push(&[f32::NAN, 0.0]).unwrap();
         assert!(s.has_non_finite());
+        // The first offending row is named, whichever component it is.
+        assert!(matches!(
+            s.ensure_finite(),
+            Err(PexesoError::NonFiniteQuery { row: 1 })
+        ));
     }
 }

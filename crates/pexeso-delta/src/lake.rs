@@ -90,7 +90,7 @@ impl DeltaLake {
         vectors: &VectorStore,
     ) -> Result<QueryResponse> {
         let files = self.base.partition_files();
-        overlay.execute_with_base(files.len(), query, vectors, |i, inner, guard| {
+        overlay.execute_with_base(files.len(), None, query, vectors, |i, inner, guard| {
             let index = load_index(&files[i], metric.clone())?;
             execute_on_index(&index, inner, vectors, guard)
         })

@@ -37,9 +37,10 @@ use std::collections::HashSet;
 
 use pexeso_core::config::IndexOptions;
 use pexeso_core::error::{PexesoError, Result};
+use pexeso_core::exec::UnitWork;
 use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{execute_on_index, execute_partitioned, GlobalHit};
-use pexeso_core::query::{BudgetGuard, Exceeded, Query, QueryMode, QueryResponse};
+use pexeso_core::outofcore::{execute_on_index, execute_partitioned, PartitionAnswer};
+use pexeso_core::query::{BudgetGuard, Query, QueryMode, QueryResponse};
 use pexeso_core::search::PexesoIndex;
 use pexeso_core::stats::SearchStats;
 use pexeso_core::vector::VectorStore;
@@ -47,7 +48,7 @@ use pexeso_core::vector::VectorStore;
 use crate::wal::DeltaState;
 
 /// The result triple every per-unit engine call produces.
-pub type UnitResult = Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)>;
+pub type UnitResult = Result<PartitionAnswer>;
 
 /// The in-memory overlay for one metric: live delta columns indexed for
 /// search, plus the base tombstones.
@@ -136,9 +137,14 @@ impl<M: Metric> DeltaOverlay<M> {
     /// outcome folding, and the final ranking all come from the core
     /// partition loop, so the response obeys the exact same contract as
     /// every built-in backend.
+    ///
+    /// `resident_base` is the base's vector count when its units are
+    /// resident (the fan-out then follows the compute plan over base and
+    /// delta vectors), `None` when each base unit loads from disk.
     pub fn execute_with_base<F>(
         &self,
         n_base: usize,
+        resident_base: Option<usize>,
         query: &Query,
         vectors: &VectorStore,
         run_base: F,
@@ -147,7 +153,11 @@ impl<M: Metric> DeltaOverlay<M> {
         F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> UnitResult + Sync,
     {
         let n_units = n_base + usize::from(self.index.is_some());
-        execute_partitioned(n_units, query, |i, inner, guard| {
+        let work = match resident_base {
+            Some(base) => UnitWork::resident(vectors.len(), base + self.n_delta_vectors),
+            None => UnitWork::Io,
+        };
+        execute_partitioned(n_units, query, vectors, work, |i, inner, guard| {
             if i < n_base {
                 self.run_base_filtered(inner, guard, |q, g| run_base(i, q, g))
             } else {

@@ -210,6 +210,8 @@ impl ServerMetrics {
     }
 
     /// Record the per-phase timings of one executed (uncached) search.
+    /// They are busy times summed over the request's partitions, so under
+    /// a partition fan-out a phase can exceed the request's wall time.
     pub fn record_phases(&self, stats: &pexeso_core::stats::SearchStats) {
         self.phase_map.record_duration(stats.mapping_time);
         self.phase_block.record_duration(stats.block_time);
@@ -381,7 +383,7 @@ impl ServerMetrics {
         }
         let _ = writeln!(
             out,
-            "# HELP pexeso_phase_microseconds Per-phase search time (Table VI breakdown)."
+            "# HELP pexeso_phase_microseconds Per-phase search busy time, summed over partitions (Table VI breakdown)."
         );
         let _ = writeln!(out, "# TYPE pexeso_phase_microseconds histogram");
         for (phase, h) in [

@@ -339,7 +339,7 @@ pub fn error_reply(endpoint: &EndpointMetrics, message: String) -> Reply {
 
 /// Answer a solo or batch query frame one solo request at a time through
 /// `run`: batch column `i` is answered as the solo request
-/// [`QueryBatch::column_request`] gives, and the first failing column
+/// `QueryBatch::column_request` gives, and the first failing column
 /// fails the batch. Returns the reply and the endpoint (`search` or
 /// `topk`) the frame counts on. Shared with the router tier.
 pub fn answer_queries<'m>(

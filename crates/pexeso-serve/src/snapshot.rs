@@ -199,6 +199,7 @@ impl Snapshot {
     ) -> Result<QueryResponse> {
         overlay.execute_with_base(
             resident.num_partitions(),
+            Some(resident.lake_vectors()),
             query,
             vectors,
             |i, inner, guard| execute_on_index(resident.partition(i), inner, vectors, guard),

@@ -1,16 +1,16 @@
 //! `pexeso` — command-line joinable-table discovery over CSV data lakes.
 //!
 //! ```text
-//! pexeso index   --lake <dir-of-csvs> --out <index-dir> [--dim 64] [--partitions 4] [--policy seq|par|par:N]
+//! pexeso index   --lake <dir-of-csvs> --out <index-dir> [--dim 64] [--partitions 4] [--policy seq|par|par:N (default seq)]
 //! pexeso ingest  --index <index-dir> --lake <dir-of-csvs> [--addr <host:port>]
 //! pexeso drop    --index <index-dir> --table <name> [--addr <host:port>]
-//! pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N]
-//! pexeso search  --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy ...] [--trace]
-//! pexeso topk    --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy ...] [--trace]
+//! pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N (default seq)]
+//! pexeso search  --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy seq|par|par:N|fixed:N (default: planned)] [--trace]
+//! pexeso topk    --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--trace]
 //! pexeso serve   --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate 0.01] [--slow-log 8] [--log <level>] [--fault-profile <spec>]
-//! pexeso query   --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
+//! pexeso query   --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--trace]
 //! pexeso query   --addr <host:port> --stats | --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
-//! pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
+//! pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--trace]
 //! pexeso inspect --addr <host:port>
 //! pexeso shard-plan  --index <index-dir> --shards <n>
 //! pexeso shard-split --index <index-dir> --shards <n> --out <dir>
@@ -29,6 +29,12 @@
 //! in seconds (and, with `--addr`, tells a live daemon to publish them
 //! without reloading its base snapshot), `drop` tombstones tables, and
 //! `compact` folds the log into fresh base partitions.
+//!
+//! Without `--policy` the query subcommands let the executor plan the
+//! partition fan-out (`ExecPolicy::auto`: a daemon's resident partitions
+//! use several cores only for a query large enough to pay for them, and
+//! `search`/`topk` load one partition at a time; `par:N` overlaps their
+//! partition reads); `index` and `compact` build sequentially.
 //!
 //! `query` accepts a comma-separated replica list in `--addr`: queries
 //! then go through the retrying, failover-capable client, and the reply
@@ -204,30 +210,30 @@ const ROUTER_FLAGS: &[FlagSpec] = &[
 fn usage_text(cmd: &str) -> &'static str {
     match cmd {
         "index" => {
-            "pexeso index --lake <dir-of-csvs> --out <index-dir> [--dim 64] [--partitions 4] [--policy seq|par|par:N]"
+            "pexeso index --lake <dir-of-csvs> --out <index-dir> [--dim 64] [--partitions 4] [--policy seq|par|par:N (default seq)]"
         }
         "ingest" => {
             "pexeso ingest --index <index-dir> --lake <dir-of-csvs> [--addr <host:port>]"
         }
         "drop" => "pexeso drop --index <index-dir> --table <name> [--addr <host:port>]",
         "compact" => {
-            "pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N]"
+            "pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N (default seq)]"
         }
         "search" => {
-            "pexeso search --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
+            "pexeso search --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy seq|par|par:N|fixed:N (default: planned)] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
         }
         "topk" => {
-            "pexeso topk --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
+            "pexeso topk --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
         }
         "serve" => {
             "pexeso serve --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate <0..=1>] [--slow-log <n>] [--log error|warn|info|debug] [--fault-profile <point:after:action[:param],...>]"
         }
         "query" => {
-            "pexeso query --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]\n\
+            "pexeso query --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]\n\
              pexeso query --addr <host:port> --stats | --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
         }
         "explain" => {
-            "pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
+            "pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N|fixed:N (default: planned)] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
         }
         "inspect" => "pexeso inspect --addr <host:port>",
         "shard-plan" => "pexeso shard-plan --index <index-dir> --shards <n>",
@@ -308,11 +314,22 @@ where
     }
 }
 
-/// The `--policy seq|par|par:N` flag shared by every subcommand.
-fn parse_policy(flags: &HashMap<String, String>) -> CliResult<ExecPolicy> {
-    match flags.get("policy") {
-        None => Ok(ExecPolicy::Sequential),
-        Some(v) => ExecPolicy::parse(v).map_err(|e| e.to_string()),
+/// The `--policy seq|par|par:N|fixed:N` flag shared by every subcommand;
+/// `None` when absent. Builds (`index`, `compact`) then run sequentially;
+/// queries keep `Query`'s default, which lets the executor decide.
+fn parse_policy(flags: &HashMap<String, String>) -> CliResult<Option<ExecPolicy>> {
+    flags
+        .get("policy")
+        .map(|v| ExecPolicy::parse(v).map_err(|e| e.to_string()))
+        .transpose()
+}
+
+/// Pin a query's inner and outer policy to an explicit `--policy` (only
+/// the outer one travels to a daemon).
+fn pin_policy(q: Query, policy: Option<ExecPolicy>) -> Query {
+    match policy {
+        Some(p) => q.with_exec(p).with_policy(p),
+        None => q,
     }
 }
 
@@ -395,7 +412,7 @@ fn cmd_index(flags: &HashMap<String, String>) -> CliResult<()> {
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
     let dim: usize = parse_or(flags, "dim", 64)?;
     let partitions: usize = parse_or(flags, "partitions", 4)?;
-    let policy = parse_policy(flags)?;
+    let policy = parse_policy(flags)?.unwrap_or(ExecPolicy::Sequential);
 
     let tables = load_csv_tables(lake_dir)?;
     println!("loaded {} tables from {lake_dir}", tables.len());
@@ -488,7 +505,7 @@ fn cmd_compact(flags: &HashMap<String, String>) -> CliResult<()> {
                 .map_err(|e| format!("bad --partitions '{v}': {e}"))?,
         ),
     };
-    let policy = parse_policy(flags)?;
+    let policy = parse_policy(flags)?.unwrap_or(ExecPolicy::Sequential);
     let report = pexeso::pipeline::compact_lake(&index_dir, partitions, policy)
         .map_err(|e| e.to_string())?;
     println!(
@@ -556,11 +573,10 @@ fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
     let query = embed_query(&embedder, &values);
 
     let q = Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
-        .with_exec(policy)
-        .with_policy(policy)
         .expect_metric(&manifest.metric)
         .with_budget(parse_budget(flags)?)
         .with_trace(parse_trace(flags));
+    let q = pin_policy(q, policy);
     let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
     println!(
         "\n{} joinable columns (tau={tau}, T={t}) in {:?}{}:",
@@ -586,11 +602,10 @@ fn cmd_topk(flags: &HashMap<String, String>) -> CliResult<()> {
     // Per-partition exact top-k, merged globally (count descending,
     // external id ascending) by the lake's unified executor.
     let q = Query::topk(Tau::Ratio(tau), k)
-        .with_exec(policy)
-        .with_policy(policy)
         .expect_metric(&manifest.metric)
         .with_budget(parse_budget(flags)?)
         .with_trace(parse_trace(flags));
+    let q = pin_policy(q, policy);
     let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
     println!(
         "\ntop-{k} joinable columns (tau={tau}){}:",
@@ -837,10 +852,10 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
     } else {
         Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
     }
-    .with_policy(policy)
     .expect_metric("euclidean")
     .with_budget(budget)
     .with_trace(parse_trace(flags));
+    let q = pin_policy(q, policy);
     // A traced query is someone debugging: mint the correlation id at the
     // outermost hop and print it, so the operator can grep the same rid
     // out of the router log, every shard log, and the SLOW entry.
@@ -943,7 +958,6 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         } else {
             Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
         }
-        .with_policy(policy)
         .expect_metric(metric)
         .with_budget(parse_budget(flags)?)
         .with_trace(parse_trace(flags))
@@ -956,7 +970,7 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         let manifest = lake.manifest().clone();
         let (values, embedder) = load_query(flags, manifest.dim)?;
         let query = embed_query(&embedder, &values);
-        let q = build_query(&manifest.metric)?.with_exec(policy);
+        let q = pin_policy(build_query(&manifest.metric)?, policy);
         lake.execute(&q, query.store()).map_err(|e| e.to_string())?
     } else {
         let addr = flags.get("addr").expect("checked above").clone();
@@ -967,7 +981,7 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         // this side, the log lines on the server side, one handle.
         let rid = pexeso_core::log::mint_request_id();
         println!("request id: {}", pexeso_core::log::fmt_request_id(rid));
-        let q = build_query("euclidean")?.with_request_id(rid);
+        let q = pin_policy(build_query("euclidean")?, policy).with_request_id(rid);
         let client = ServeClient::connect(addr.as_str())
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let (resp, _meta) = client
@@ -1135,5 +1149,32 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn absent_policy_leaves_query_defaults_and_builds_sequential() {
+        let none = HashMap::new();
+        assert_eq!(parse_policy(&none).unwrap(), None);
+        let q = pin_policy(Query::topk(Tau::Ratio(0.06), 3), None);
+        assert_eq!(
+            q.policy,
+            ExecPolicy::auto(),
+            "the executor plans the fan-out"
+        );
+        assert_eq!(q.options.exec, ExecPolicy::Sequential);
+
+        let seq: HashMap<String, String> = [("policy".to_string(), "seq".to_string())].into();
+        let pinned = parse_policy(&seq).unwrap();
+        assert_eq!(pinned, Some(ExecPolicy::Sequential));
+        let q = pin_policy(Query::topk(Tau::Ratio(0.06), 3), pinned);
+        assert_eq!(q.policy, ExecPolicy::Sequential);
+
+        let bad: HashMap<String, String> = [("policy".to_string(), "fast".to_string())].into();
+        assert!(parse_policy(&bad).is_err());
     }
 }

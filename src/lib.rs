@@ -33,7 +33,9 @@
 //! across in-memory, out-of-core, resident, and remote execution, an
 //! explicit exactness outcome, and optional per-query budgets. Every
 //! stage also accepts a [`pexeso_core::config::ExecPolicy`]
-//! (`Sequential`, the default, or `Parallel { threads }`) and produces
+//! (`Sequential`, the build and per-query default, or
+//! `Parallel { threads }`; a query's partition fan-out defaults to
+//! `ExecPolicy::auto()`, planned by the executor) and produces
 //! identical results either way; [`pipeline::run_queries`] is the
 //! batched multi-user entry point over any `&dyn Queryable`.
 //!
